@@ -195,12 +195,12 @@ struct JobOptions {
   /// disabled by default, and with it enabled a restart-level breach is
   /// absorbed by the ladder instead of honoring fail_on_vm_restart.
   MemGovernorConfig governor;
-  /// Host threads executing partitions within a superstep: 0 = one per
-  /// hardware thread, 1 = serial fast path, N = exactly N lanes (capped at
-  /// the partition count). Purely a wall-clock knob: results, modeled times,
-  /// and every metric are bit-identical at any setting — compute stages its
-  /// emissions into per-partition outboxes and a deterministic merge applies
-  /// them in serial order.
+  /// Host lanes executing a superstep's frontier chunks: 0 = one per
+  /// hardware thread, N = exactly N lanes (capped at the partition count);
+  /// 1 is one lane of the same chunk loop. Purely a wall-clock knob:
+  /// results, modeled times, and every metric are bit-identical at any
+  /// setting — compute stages its emissions per chunk and a deterministic
+  /// merge applies them in serial (rank) order.
   std::uint32_t parallelism = 0;
   /// Active vertices per frontier-bag leaf chunk — the unit of work the
   /// lanes steal from each other. Another pure wall-clock knob: chunk

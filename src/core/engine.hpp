@@ -20,7 +20,10 @@
 // destination partitions, ordered by (sender rank, emission order) within
 // each — applies routing, combining, activation, and cost counters.
 // Results and modeled times are therefore bit-identical at any thread
-// count and any steal schedule; only host wall-clock changes.
+// count and any steal schedule; only host wall-clock changes. Parallelism 1
+// runs the same chunk loop on one lane; there, unmigrated and in push mode,
+// emissions are delivered as they are emitted (direct_route_), because one
+// lane computes chunks in exactly the merge order.
 // Program::compute must be thread-safe (const/stateless, as the contract
 // below already implies).
 //
@@ -71,7 +74,7 @@
 // memory governor, and the scheduler all drive subgraph jobs exactly as
 // vertex jobs. Boundary sends are tagged with the sender's immutable rank
 // and merged in canonical (rank, emission) order through the same staged-
-// outbox/serial-merge discipline, so results stay bit-identical at any
+// outbox/rank-merge discipline, so results stay bit-identical at any
 // parallelism. Internal sequential work is charged via
 // ctx.charge_local_work() (CostParams::cycles_per_subgraph_op), keeping the
 // barrier's active-vertex audit exact.
@@ -80,6 +83,7 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -126,11 +130,6 @@ struct JobResult : JobReport {
   std::vector<typename Program::VertexValue> values;
 };
 
-/// "Not running inside a frontier chunk": context callbacks with this chunk
-/// id apply their effects directly (the serial fast path); any other id
-/// stages them into that chunk's scratch for the deterministic merge.
-inline constexpr std::size_t kNoChunk = static_cast<std::size_t>(-1);
-
 /// Handed to Program::compute for each active vertex.
 template <VertexProgramT Program>
 class VertexContext {
@@ -155,11 +154,11 @@ class VertexContext {
 
   /// Stay active next superstep even without incoming messages
   /// (by default a vertex votes to halt when compute returns).
-  void remain_active() { engine_->activate_from(partition_, local_, chunk_); }
+  void remain_active() { engine_->activate_from(chunk_, local_); }
   /// Request activation at an absolute future superstep (used by phase-
   /// structured algorithms such as the BC backward sweep).
   void wake_at(std::uint64_t superstep) {
-    engine_->schedule_wake(partition_, local_, superstep, chunk_);
+    engine_->schedule_wake(chunk_, local_, superstep);
   }
 
   /// Contribute to a sum-aggregate readable by the master at this barrier
@@ -298,7 +297,9 @@ class SubgraphContext {
   // ---- aggregation / globals ----------------------------------------------
 
   /// Contribute to a sum-aggregate on behalf of local vertex `as` (the rank
-  /// tag keeps barrier replay order migration-invariant).
+  /// tag keeps barrier replay order migration-invariant). A non-local `as`
+  /// may tie with another partition's entries; ties replay in partition
+  /// order, which a migration can change.
   void aggregate(VertexId as, std::uint64_t key, double value) {
     engine_->chunk_scratch_[partition_].aggs.push_back(
         {engine_->rank_of_[as], key, value});
@@ -671,7 +672,7 @@ class Engine {
 
   /// (Re)build partition state from the run's initial assignment. Also
   /// derives the immutable per-run serial order: rank_of_[v] numbers every
-  /// vertex in the order the serial engine visits it (partition-major,
+  /// vertex in the order a single lane visits it (partition-major,
   /// ascending within each partition). Message delivery in the unmigrated
   /// run happens exactly in sender-rank order, which is what lets the
   /// post-migration merge reproduce it bit-for-bit.
@@ -835,15 +836,7 @@ class Engine {
       broadcast_store_.assign(graph_->num_vertices(), {});
     else
       broadcast_store_.clear();
-    // The staged path serves four callers: the thread pool (any run with
-    // threads_ > 1), the post-migration rank merge (even serial runs — once
-    // vertices move, delivery order must be reconstructed by rank), pull
-    // supersteps (the synthesized stream flows through the same merge), and
-    // subgraph-centric programs (every boundary send is staged).
-    if (threads_ > 1 || migration_possible_ || direction_enabled_ || subgraph_model())
-      send_scratch_.assign(parts_.size() * parts_.size(), {});
-    else
-      send_scratch_.clear();
+    send_scratch_.assign(parts_.size() * parts_.size(), {});
 
     faults_ = cloud::FaultInjector(cluster_.faults);
     pending_retry_latency_ = 0.0;
@@ -960,8 +953,8 @@ class Engine {
       ps.outbuf_bytes = 0;
       // Delta-checkpoint dirty tracking: a migration rebuilt the partition
       // under us -> everything is dirty until the forced re-base publishes.
-      // Ordinary dirtying happens after each compute() (see
-      // compute_partition / compute_chunk): the vertex rides the next delta
+      // Ordinary dirtying happens after each compute() (see compute_chunk /
+      // compute_subgraph_partition): the vertex rides the next delta
       // leg unless its program declared the call a write-free no-op via
       // ctx.state_unchanged().
       if (track_dirty_ && ps.dirty.size() != ps.vertices.size())
@@ -983,41 +976,9 @@ class Engine {
     return false;
   }
 
-  /// Drain one partition's active vertices through compute() on the serial
-  /// fast path: emissions route immediately (chunk == kNoChunk), nothing is
-  /// staged.
-  void compute_partition(std::uint32_t p) {
-    trace::Span span("engine.compute", "superstep", "part", p);
-    PartitionState& ps = parts_[p];
-    for (std::uint32_t l : ps.active_cur) {
-      VertexContext<Program> ctx(this, p, l, ps.vertices[l], kNoChunk);
-      std::vector<M>& box = ps.inbox_cur[l];
-      if constexpr (has_combiner()) {
-        // Lockstep invariant: with a combiner active, every buffered message
-        // has exactly one source entry (seeds included).
-        if (opts_combine_) PREGEL_DCHECK(ps.inbox_cur_src[l].size() == box.size());
-      }
-      ++ps.load.vertices_computed;
-      ps.load.messages_processed += box.size();
-      program_.compute(ctx, ps.values[l], std::span<const M>(box));
-      if (track_dirty_ && ctx.mutated_) ps.dirty[l] = 1;
-      // Drain: buffered incoming bytes are released after compute.
-      for (const M& m : box) {
-        const Bytes b = cost_.buffered_bytes(payload_bytes(m));
-        ps.inbox_cur_bytes -= std::min(ps.inbox_cur_bytes, b);
-      }
-      // Release large buffers back to the allocator but keep small-vector
-      // capacity cached — reallocating every box every superstep is pure
-      // churn for the common small-frontier case.
-      shrink_after_drain(box);
-      if (opts_combine_) shrink_after_drain(ps.inbox_cur_src[l]);
-    }
-  }
-
   /// Pack each partition's sorted active list into its frontier bag and
   /// enumerate the bags' leaves as chunks — partition-major, leaf order —
-  /// so "chunk index order" is exactly serial visit order. Scratch slots are
-  /// reused across supersteps (cleared, not reallocated).
+  /// so "chunk index order" is exactly serial visit order.
   void build_frontier_chunks() {
     chunks_.clear();
     const std::size_t n = parts_.size();
@@ -1029,10 +990,16 @@ class Engine {
         chunks_.push_back(ChunkRef{p, static_cast<std::uint32_t>(leaf)});
       part_chunk_range_[p] = {first, static_cast<std::uint32_t>(chunks_.size())};
     }
-    if (chunk_scratch_.size() < chunks_.size()) chunk_scratch_.resize(chunks_.size());
-    for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    reset_chunk_scratch(chunks_.size());
+  }
+
+  /// Ready the first `count` chunk scratch slots for a superstep; slots are
+  /// reused across supersteps (cleared, not reallocated).
+  void reset_chunk_scratch(std::size_t count) {
+    if (chunk_scratch_.size() < count) chunk_scratch_.resize(count);
+    for (std::size_t c = 0; c < count; ++c) {
       ChunkScratch& cs = chunk_scratch_[c];
-      cs.out.resize(n);
+      cs.out.resize(parts_.size());
       cs.load = {};
       cs.drained_bytes = 0;
       cs.state_delta = 0;
@@ -1046,6 +1013,7 @@ class Engine {
   /// and per-vertex state_bytes_v slots — so any lane may run any chunk.
   void compute_chunk(std::size_t c) {
     const ChunkRef ref = chunks_[c];
+    trace::Span span("engine.compute", "superstep", "part", ref.partition, "chunk", c);
     PartitionState& ps = parts_[ref.partition];
     ChunkScratch& cs = chunk_scratch_[c];
     for (std::uint32_t l : frontier_bags_[ref.partition].leaf(ref.leaf)) {
@@ -1091,12 +1059,12 @@ class Engine {
   }
 
   /// Apply every staged message addressed to partition q (plus q's own
-  /// staged activations/wakes). Unmigrated push: scan source partitions in
-  /// ascending order and each source's chunk rows in leaf + emission order —
-  /// the exact order serial execution would have delivered them in, so inbox
-  /// contents (and combiner merges) are bit-identical. Source-side counters
-  /// go to this destination's scratch row; they cannot be written to the
-  /// source partitions here because another merge thread may own them.
+  /// staged activations/wakes) in ascending sender rank — the order one lane
+  /// walking the partitions would have delivered them in, so inbox contents
+  /// (and combiner merges) are bit-identical at any lane count and after any
+  /// migration. Source-side counters go to this destination's scratch row;
+  /// they cannot be written to the source partitions here because another
+  /// merge thread may own them.
   void merge_destination(std::uint32_t q) {
     trace::Span span("engine.merge", "superstep", "part", q);
     apply_chunk_side_effects(q);
@@ -1104,75 +1072,72 @@ class Engine {
       merge_destination_pull(q);
       return;
     }
-    if (migrated_) {
-      merge_destination_ranked(q);
-      return;
-    }
     const std::size_t n = parts_.size();
-    for (std::uint32_t src = 0; src < n; ++src) {
-      SendScratch& acc = send_scratch_[q * n + src];
-      const auto [first, last] = part_chunk_range_[src];
-      for (std::uint32_t c = first; c < last; ++c) {
-        std::vector<StagedMessage>& row = chunk_scratch_[c].out[q];
-        for (StagedMessage& s : row)
+    rank_merge(
+        [this, q](std::uint32_t c) -> std::vector<StagedMessage>& {
+          return chunk_scratch_[c].out[q];
+        },
+        [](const StagedMessage& s) { return s.sender_rank; },
+        [this, q, n](std::uint32_t src, StagedMessage& s) {
+          SendScratch& acc = send_scratch_[q * n + src];
           deliver(src, q, s.target_local, std::move(s.message), acc.load, acc.outbuf_bytes,
                   s.combine_src);
-        shrink_after_drain(row);
-      }
-    }
+        });
+    for (std::size_t c = 0; c < chunks_.size(); ++c) shrink_after_drain(chunk_scratch_[c].out[q]);
   }
 
-  /// Post-migration merge for destination q: a K-way merge of the source
-  /// partitions' staged streams by sender rank. Each source's concatenated
-  /// chunk rows are rank-sorted (compute walks actives in rank order and
-  /// chunks follow leaf order) and a rank never appears under two sources
-  /// (a vertex lives in exactly one partition), so repeatedly draining the
-  /// full equal-rank run from the source with the smallest head rank
-  /// reproduces the unmigrated serial delivery order exactly. A run is
-  /// always contiguous within one chunk row because a vertex computes in
-  /// exactly one leaf.
-  void merge_destination_ranked(std::uint32_t q) {
-    const std::size_t n = parts_.size();
+  /// K-way merge by rank of one per-chunk log (`row_of(chunk)`) across the
+  /// source partitions, calling `apply(source, entry)` in ascending rank.
+  /// Each source's concatenated chunk rows are rank-sorted (compute walks
+  /// actives in rank order and chunks follow leaf order), so the best source
+  /// drains until its head rank passes the runner-up's.
+  /// Unmigrated, ranks are partition-major: each source drains in a single
+  /// pass, which is the plain source-by-source loop at its cost.
+  template <class RowOf, class RankOf, class Apply>
+  void rank_merge(RowOf&& row_of, RankOf&& rank_of, Apply&& apply) {
+    using Entry = std::remove_reference_t<decltype(row_of(std::uint32_t{0})[0])>;
+    const std::uint32_t n = static_cast<std::uint32_t>(parts_.size());
     struct Cursor {
       std::uint32_t chunk;
       std::size_t pos;
     };
     std::vector<Cursor> cur(n);
-    for (std::uint32_t src = 0; src < n; ++src) cur[src] = {part_chunk_range_[src].first, 0};
-    const auto head = [&](std::uint32_t src) -> StagedMessage* {
-      Cursor& c = cur[src];
-      while (c.chunk < part_chunk_range_[src].second) {
-        std::vector<StagedMessage>& row = chunk_scratch_[c.chunk].out[q];
+    for (std::uint32_t p = 0; p < n; ++p) cur[p] = {part_chunk_range_[p].first, 0};
+    const auto head = [&](std::uint32_t p) -> Entry* {
+      Cursor& c = cur[p];
+      for (; c.chunk < part_chunk_range_[p].second; ++c.chunk, c.pos = 0) {
+        auto& row = row_of(c.chunk);
         if (c.pos < row.size()) return &row[c.pos];
-        ++c.chunk;
-        c.pos = 0;
       }
       return nullptr;
     };
     for (;;) {
-      std::uint32_t best = static_cast<std::uint32_t>(n);
-      std::uint32_t best_rank = 0;
-      for (std::uint32_t src = 0; src < n; ++src) {
-        const StagedMessage* h = head(src);
-        if (h != nullptr && (best == n || h->sender_rank < best_rank)) {
-          best = src;
-          best_rank = h->sender_rank;
+      std::uint32_t best = n, best_rank = 0;
+      std::uint64_t runner_up_rank = std::numeric_limits<std::uint64_t>::max();
+      for (std::uint32_t p = 0; p < n; ++p) {
+        const Entry* h = head(p);
+        if (h == nullptr) continue;
+        const std::uint32_t r = rank_of(*h);
+        if (best == n || r < best_rank) {
+          if (best != n) runner_up_rank = best_rank;
+          best = p;
+          best_rank = r;
+        } else if (r < runner_up_rank) {
+          runner_up_rank = r;
         }
       }
-      if (best == n) break;
+      if (best == n) return;
+      // Drain through ties: a rank can repeat across sources when an entry is
+      // tagged with another partition's vertex (a subgraph program finishing
+      // a shared root), and the lower source — always `best` on a tie — goes
+      // first, as in partition order.
       Cursor& c = cur[best];
-      std::vector<StagedMessage>& row = chunk_scratch_[c.chunk].out[q];
-      SendScratch& acc = send_scratch_[q * n + best];
-      while (c.pos < row.size() && row[c.pos].sender_rank == best_rank) {
-        StagedMessage& s = row[c.pos++];
-        deliver(best, q, s.target_local, std::move(s.message), acc.load, acc.outbuf_bytes,
-                s.combine_src);
+      for (Entry* h = head(best); h != nullptr && rank_of(*h) <= runner_up_rank;
+           h = head(best)) {
+        auto& row = row_of(c.chunk);
+        do apply(best, row[c.pos++]);
+        while (c.pos < row.size() && rank_of(row[c.pos]) <= runner_up_rank);
       }
-    }
-    for (std::uint32_t src = 0; src < n; ++src) {
-      const auto [first, last] = part_chunk_range_[src];
-      for (std::uint32_t c = first; c < last; ++c)
-        shrink_after_drain(chunk_scratch_[c].out[q]);
     }
   }
 
@@ -1270,9 +1235,7 @@ class Engine {
   }
 
   /// Run `f(p)` for every partition index — on the pool when one exists,
-  /// serially otherwise. The staged execution path uses this so a
-  /// parallelism-1 run after a migration (or in pull mode) stages through
-  /// the same merge machinery without spinning up threads.
+  /// serially otherwise.
   template <class F>
   void for_each_partition(F&& f) {
     if (pool_)
@@ -1281,18 +1244,17 @@ class Engine {
       for (std::size_t i = 0; i < parts_.size(); ++i) f(i);
   }
 
-  /// Compute + route for one superstep through the staged path,
-  /// bit-identical to the serial path. Two barriers: (1) every frontier
-  /// chunk computes with all side effects staged in its scratch — on the
-  /// pool, lanes start on their home partitions' chunk queues and steal
-  /// from the heaviest remaining queue when they run dry; (2) every
-  /// destination partition applies its staged messages single-threaded in
-  /// deterministic merge order. Chunk-indexed counters then fold back
-  /// serially in chunk (= serial visit) order, and aggregate / root logs
-  /// replay in serial order. Which lane drained which chunk is thereby
-  /// unobservable outside wall clock and the steal counters.
+  /// Compute + route for one vertex-centric superstep. Two barriers: (1)
+  /// every frontier chunk computes with its side effects staged in its
+  /// scratch — on the pool, lanes start on their home partitions' chunk
+  /// queues and steal from the heaviest remaining queue when they run dry;
+  /// (2) every destination partition applies its staged messages
+  /// single-threaded in rank order (merge_and_replay). One lane runs the
+  /// same chunks in chunk (= serial visit) order, so with direct_route_ its
+  /// messages are delivered as they are emitted instead of staged. Which
+  /// lane drained which chunk is unobservable outside wall clock and the
+  /// steal counters.
   void execute_superstep_staged() {
-    const std::size_t n = parts_.size();
     build_frontier_chunks();
     if (pool_ && chunks_.size() > 1) {
       std::vector<std::vector<std::size_t>> queues(pool_->size());
@@ -1303,16 +1265,25 @@ class Engine {
     } else {
       for (std::size_t c = 0; c < chunks_.size(); ++c) compute_chunk(c);
     }
+    merge_and_replay();
+    if (pull_this_step_) clear_broadcast_records();
+  }
 
-    // Fold chunk-local partition counters back in chunk order: integer sums
-    // plus the clamped inbox drain, matching the serial accounting.
+  /// The superstep tail both programming models share: fold chunk-local
+  /// partition counters back in chunk order (integer sums plus the clamped
+  /// inbox drain), merge every destination, fold the per-(destination x
+  /// source) send counters back into their source partitions (order-free
+  /// integer sums), then replay the aggregate / root logs in rank order.
+  void merge_and_replay() {
+    const std::size_t n = parts_.size();
     for (std::uint32_t p = 0; p < n; ++p) {
       PartitionState& ps = parts_[p];
       const auto [first, last] = part_chunk_range_[p];
       for (std::uint32_t c = first; c < last; ++c) {
-        ChunkScratch& cs = chunk_scratch_[c];
+        const ChunkScratch& cs = chunk_scratch_[c];
         ps.load.vertices_computed += cs.load.vertices_computed;
         ps.load.messages_processed += cs.load.messages_processed;
+        ps.load.subgraph_ops += cs.load.subgraph_ops;
         ps.inbox_cur_bytes -= std::min(ps.inbox_cur_bytes, cs.drained_bytes);
         ps.state_bytes += cs.state_delta;
       }
@@ -1322,9 +1293,6 @@ class Engine {
       merge_destination(static_cast<std::uint32_t>(q));
     });
 
-    // Fold the per-(destination x source) send counters back into their
-    // source partitions (integer sums — order-free), then replay the
-    // deterministic logs in serial order.
     for (std::uint32_t p = 0; p < n; ++p) {
       PartitionState& ps = parts_[p];
       for (std::uint32_t q = 0; q < n; ++q) {
@@ -1337,7 +1305,6 @@ class Engine {
       }
     }
     replay_staged_logs();
-    if (pull_this_step_) clear_broadcast_records();
   }
 
   /// Drop this superstep's pull-mode broadcast records, releasing large
@@ -1362,26 +1329,18 @@ class Engine {
       part_chunk_range_[p] = {p, p + 1};
       chunks_.push_back(ChunkRef{p, 0});
     }
-    if (chunk_scratch_.size() < n) chunk_scratch_.resize(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      ChunkScratch& cs = chunk_scratch_[c];
-      cs.out.resize(n);
-      cs.load = {};
-      cs.drained_bytes = 0;
-      cs.state_delta = 0;
-      cs.emit_seq = 0;
-    }
+    reset_chunk_scratch(n);
   }
 
   /// Hand one whole partition to the program, then establish the canonical
   /// outbox order: every staged row sorted by (sender rank, emission seq).
   /// seq is unique per chunk, so the sort is a total order independent of
-  /// emission interleaving; unmigrated partition-major concatenation and the
-  /// post-migration rank merge then both deliver every inbox in ascending
-  /// sender rank — subgraph delivery order is migration-invariant.
+  /// emission interleaving; the rank merge then delivers every inbox in
+  /// ascending sender rank — subgraph delivery order is migration-invariant.
   void compute_subgraph_partition(std::uint32_t p) {
     PartitionState& ps = parts_[p];
     if (ps.active_cur.empty()) return;
+    trace::Span span("engine.compute", "superstep", "part", p);
     ChunkScratch& cs = chunk_scratch_[p];
     cs.load.vertices_computed += ps.active_cur.size();
     for (const std::uint32_t l : ps.active_cur)
@@ -1422,111 +1381,35 @@ class Engine {
   }
 
   /// The subgraph-centric superstep: compute every partition (in parallel —
-  /// each stages into its own scratch), then the same fold / merge / replay
-  /// sequence as the vertex-centric staged path. There is no chunk stealing:
-  /// the partition is the indivisible unit of subgraph work.
+  /// each stages into its own scratch), then the same merge / replay tail as
+  /// the vertex-centric path. There is no chunk stealing: the partition is
+  /// the indivisible unit of subgraph work.
   void execute_superstep_subgraph() {
-    const std::size_t n = parts_.size();
     setup_subgraph_chunks();
     for_each_partition([this](std::size_t p) {
       compute_subgraph_partition(static_cast<std::uint32_t>(p));
     });
-
-    for (std::uint32_t p = 0; p < n; ++p) {
-      PartitionState& ps = parts_[p];
-      ChunkScratch& cs = chunk_scratch_[p];
-      ps.load.vertices_computed += cs.load.vertices_computed;
-      ps.load.messages_processed += cs.load.messages_processed;
-      ps.load.subgraph_ops += cs.load.subgraph_ops;
-      ps.inbox_cur_bytes -= std::min(ps.inbox_cur_bytes, cs.drained_bytes);
-      ps.state_bytes += cs.state_delta;
-    }
-
-    for_each_partition([this](std::size_t q) {
-      merge_destination(static_cast<std::uint32_t>(q));
-    });
-
-    for (std::uint32_t p = 0; p < n; ++p) {
-      PartitionState& ps = parts_[p];
-      for (std::uint32_t q = 0; q < n; ++q) {
-        SendScratch& acc = send_scratch_[q * n + p];
-        ps.load.messages_sent_local += acc.load.messages_sent_local;
-        ps.load.messages_sent_remote += acc.load.messages_sent_remote;
-        ps.load.bytes_sent_remote += acc.load.bytes_sent_remote;
-        ps.outbuf_bytes += acc.outbuf_bytes;
-        acc = {};
-      }
-    }
-    replay_staged_logs();
+    merge_and_replay();
   }
 
-  /// K-way merge of per-chunk logs by emitter rank across source
-  /// partitions; within one partition the concatenated chunk logs are
-  /// already rank-sorted (compute walks actives in rank order, chunks
-  /// follow leaf order), and one vertex's contributions sit contiguously in
-  /// one chunk's log.
-  template <class LogOf, class Apply>
-  void replay_rank_merged(LogOf&& log_of, Apply&& apply) {
-    const std::size_t n = parts_.size();
-    struct Cursor {
-      std::uint32_t chunk;
-      std::size_t pos;
-    };
-    std::vector<Cursor> cur(n);
-    for (std::uint32_t p = 0; p < n; ++p) cur[p] = {part_chunk_range_[p].first, 0};
-    const auto settle = [&](std::uint32_t p) {
-      Cursor& c = cur[p];
-      while (c.chunk < part_chunk_range_[p].second && c.pos >= log_of(c.chunk).size()) {
-        ++c.chunk;
-        c.pos = 0;
-      }
-      return c.chunk < part_chunk_range_[p].second;
-    };
-    for (;;) {
-      std::uint32_t best = static_cast<std::uint32_t>(n);
-      std::uint32_t best_rank = 0;
-      for (std::uint32_t p = 0; p < n; ++p) {
-        if (!settle(p)) continue;
-        const std::uint32_t r = log_of(cur[p].chunk)[cur[p].pos].rank;
-        if (best == n || r < best_rank) {
-          best = p;
-          best_rank = r;
-        }
-      }
-      if (best == n) break;
-      Cursor& c = cur[best];
-      const auto& log = log_of(c.chunk);
-      while (c.pos < log.size() && log[c.pos].rank == best_rank) apply(log[c.pos++]);
-    }
-  }
-
-  /// Replay the aggregate / root-completion logs in the exact serial order:
-  /// chunk order while unmigrated (chunk order IS serial visit order), and
-  /// a K-way merge by emitter rank after a migration. The two streams are
+  /// Replay the aggregate / root-completion logs in rank order (the serial
+  /// visit order, reproduced even after a migration). The two streams are
   /// replayed independently — an aggregate sum is order-sensitive only
   /// against other aggregate contributions, and root completions only
   /// against each other.
   void replay_staged_logs() {
-    if (!migrated_) {
-      for (std::size_t c = 0; c < chunks_.size(); ++c) {
-        ChunkScratch& cs = chunk_scratch_[c];
-        for (const StagedAgg& a : cs.aggs) agg_cur_.add(a.key, a.value);
-        cs.aggs.clear();
-        for (const StagedRootDone& r : cs.roots) mark_root_done(r.root);
-        cs.roots.clear();
-      }
-      return;
-    }
-    replay_rank_merged(
+    rank_merge(
         [this](std::uint32_t c) -> const std::vector<StagedAgg>& {
           return chunk_scratch_[c].aggs;
         },
-        [this](const StagedAgg& a) { agg_cur_.add(a.key, a.value); });
-    replay_rank_merged(
+        [](const StagedAgg& a) { return a.rank; },
+        [this](std::uint32_t, const StagedAgg& a) { agg_cur_.add(a.key, a.value); });
+    rank_merge(
         [this](std::uint32_t c) -> const std::vector<StagedRootDone>& {
           return chunk_scratch_[c].roots;
         },
-        [this](const StagedRootDone& r) { mark_root_done(r.root); });
+        [](const StagedRootDone& r) { return r.rank; },
+        [this](std::uint32_t, const StagedRootDone& r) { mark_root_done(r.root); });
     for (std::size_t c = 0; c < chunks_.size(); ++c) {
       chunk_scratch_[c].aggs.clear();
       chunk_scratch_[c].roots.clear();
@@ -1613,14 +1496,12 @@ class Engine {
       decide_direction();
       if (pull_this_step_ && !pull_index_built_) build_pull_index();
     }
+    direct_route_ = threads_ == 1 && !migrated_ && !pull_this_step_;
 
-    if constexpr (subgraph_model()) {
+    if constexpr (subgraph_model())
       execute_superstep_subgraph();
-    } else if (threads_ > 1 || migrated_ || pull_this_step_) {
+    else
       execute_superstep_staged();
-    } else {
-      for (std::uint32_t p = 0; p < parts_.size(); ++p) compute_partition(p);
-    }
 
     std::uint64_t active_total = 0;
     for (const PartitionState& ps : parts_) active_total += ps.active_cur.size();
@@ -3394,18 +3275,20 @@ class Engine {
     PREGEL_DCHECK(target < graph_->num_vertices());
     const std::uint32_t tp = part_of_[target];
     const std::uint32_t tl = local_of_[target];
-    if (chunk != kNoChunk) {
-      // Staged compute phase: capture the emission in this chunk's scratch
-      // row for the destination; the deterministic merge delivers it after
-      // the compute barrier. No shared state is touched here.
-      ChunkScratch& cs = chunk_scratch_[chunk];
-      cs.out[tp].push_back(StagedMessage{tl, cs.computing_rank, cs.computing_src,
-                                         cs.emit_seq++, std::move(message)});
+    ChunkScratch& cs = chunk_scratch_[chunk];
+    if (direct_route_) {
+      // One lane, unmigrated, push: chunks run in rank order, so delivering
+      // now is the merge order, without staging the message.
+      SendScratch& acc = send_scratch_[tp * parts_.size() + from_partition];
+      deliver(from_partition, tp, tl, std::move(message), acc.load, acc.outbuf_bytes,
+              cs.computing_src);
       return;
     }
-    PartitionState& src = parts_[from_partition];
-    deliver(from_partition, tp, tl, std::move(message), src.load, src.outbuf_bytes,
-            static_cast<std::uint8_t>(vm_of(from_partition)));
+    // Capture the emission in this chunk's scratch row for the destination;
+    // the deterministic merge delivers it after the compute barrier. No
+    // shared state is touched here.
+    cs.out[tp].push_back(StagedMessage{tl, cs.computing_rank, cs.computing_src,
+                                       cs.emit_seq++, std::move(message)});
   }
 
   /// send_to_all_neighbors: in pull mode capture one broadcast record
@@ -3414,7 +3297,7 @@ class Engine {
   /// expand to per-edge routes exactly as the classic push path.
   void broadcast(std::uint32_t from_partition, VertexId v, const M& message,
                  std::size_t chunk) {
-    if (chunk != kNoChunk && pull_this_step_) {
+    if (pull_this_step_) {
       ChunkScratch& cs = chunk_scratch_[chunk];
       auto& recs = broadcast_store_[v];
       if (recs.empty()) cs.broadcasters.push_back(v);
@@ -3426,9 +3309,9 @@ class Engine {
   }
 
   /// Deliver one emitted message into partition `tp`'s next inbox: combiner
-  /// merge, send/receive accounting, activation. The serial path (route) and
-  /// the parallel merge (merge_destination) share this verbatim so their
-  /// per-message effects are identical; source-side counters go through the
+  /// merge, send/receive accounting, activation. Direct routing (route) and
+  /// the merge (merge_destination) share this verbatim so their per-message
+  /// effects are identical; source-side counters go through the
   /// `src_load`/`src_outbuf` out-params because the merge cannot write the
   /// source partition directly. `combine_src` is the sender-side combining
   /// domain: the VM the sender's *home* partition is placed on, captured at
@@ -3488,59 +3371,39 @@ class Engine {
   }
 
   /// remain_active: staged per chunk (the destination partition's merge task
-  /// applies them — activation is set-semantics, so order is irrelevant);
-  /// direct on the serial path.
-  void activate_from(std::uint32_t partition, std::uint32_t local, std::size_t chunk) {
-    if (chunk != kNoChunk)
-      chunk_scratch_[chunk].activations.push_back(local);
-    else
-      activate_local(partition, local);
+  /// applies them — activation is set-semantics, so order is irrelevant).
+  void activate_from(std::size_t chunk, std::uint32_t local) {
+    chunk_scratch_[chunk].activations.push_back(local);
   }
 
-  void schedule_wake(std::uint32_t partition, std::uint32_t local, std::uint64_t at,
-                     std::size_t chunk) {
+  void schedule_wake(std::size_t chunk, std::uint32_t local, std::uint64_t at) {
     PREGEL_CHECK_MSG(at > superstep_, "wake_at: superstep must be in the future");
-    if (chunk != kNoChunk)
-      chunk_scratch_[chunk].wakes.emplace_back(at, local);
-    else
-      parts_[partition].wakes[at].push_back(local);
+    chunk_scratch_[chunk].wakes.emplace_back(at, local);
   }
 
+  /// The partition total is staged per chunk; per-vertex slots are disjoint
+  /// across chunks (a vertex computes in exactly one leaf), so they are
+  /// written directly.
   void charge_state(std::uint32_t partition, std::uint32_t local, std::int64_t delta,
                     std::size_t chunk) {
+    chunk_scratch_[chunk].state_delta += delta;
     PartitionState& ps = parts_[partition];
-    if (chunk != kNoChunk)
-      chunk_scratch_[chunk].state_delta += delta;
-    else
-      ps.state_bytes += delta;
-    // Per-vertex slots are disjoint across chunks (a vertex computes in
-    // exactly one leaf), so they are written directly either way.
     if (!ps.state_bytes_v.empty()) ps.state_bytes_v[local] += delta;
   }
 
-  /// Vertex-context aggregate contribution. During staged compute the
-  /// contribution is logged in the chunk's scratch (tagged with the emitting
-  /// vertex's rank) and replayed at the barrier in the exact serial
-  /// summation order — chunk order unmigrated, rank-merge order after a
-  /// migration; serially it sums immediately.
+  /// Vertex-context aggregate contribution: logged in the chunk's scratch
+  /// (tagged with the emitting vertex's rank) and replayed at the barrier in
+  /// rank order, the serial summation order.
   void aggregate_from(std::uint64_t key, double value, std::size_t chunk) {
-    if (chunk != kNoChunk) {
-      ChunkScratch& cs = chunk_scratch_[chunk];
-      cs.aggs.push_back({cs.computing_rank, key, value});
-    } else {
-      agg_cur_.add(key, value);
-    }
+    ChunkScratch& cs = chunk_scratch_[chunk];
+    cs.aggs.push_back({cs.computing_rank, key, value});
   }
 
   /// Vertex-context root completion, staged like aggregate_from so compute
   /// lanes never touch the shared root bookkeeping.
   void root_done_from(VertexId root, std::size_t chunk) {
-    if (chunk != kNoChunk) {
-      ChunkScratch& cs = chunk_scratch_[chunk];
-      cs.roots.push_back({cs.computing_rank, root});
-    } else {
-      mark_root_done(root);
-    }
+    ChunkScratch& cs = chunk_scratch_[chunk];
+    cs.roots.push_back({cs.computing_rank, root});
   }
 
   /// O(1) amortized root completion: tombstone the entry, drop its index
@@ -3736,6 +3599,10 @@ class Engine {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> part_chunk_range_;
   std::vector<ChunkScratch> chunk_scratch_;           ///< by chunk index
   std::vector<SendScratch> send_scratch_;             ///< [dst * P + src]
+  /// This superstep runs on one lane, unmigrated, in push mode: route()
+  /// delivers each message as it is emitted instead of staging it. The one
+  /// shortcut through the staged superstep; nothing else reads it.
+  bool direct_route_ = false;
   ThreadPool::StealOutcome last_steals_{};            ///< this superstep's steals
 
   // -- direction optimization (push/pull; see header comment) ---------------

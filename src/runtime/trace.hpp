@@ -193,6 +193,17 @@ class Span {
       args_ = std::string("{\"") + arg_key + "\":" + std::to_string(arg_value) + "}";
     }
   }
+  /// Span with two numeric arguments, e.g. Span("compute", "superstep",
+  /// "part", p, "chunk", c).
+  Span(const char* name, const char* cat, const char* key1, std::uint64_t value1,
+       const char* key2, std::uint64_t value2)
+      : active_(spans_on()) {
+    if (active_) {
+      start(name, cat);
+      args_ = std::string("{\"") + key1 + "\":" + std::to_string(value1) + ",\"" + key2 +
+              "\":" + std::to_string(value2) + "}";
+    }
+  }
   ~Span() {
     if (active_) finish();
   }

@@ -1,7 +1,7 @@
 // The engine's host-parallelism contract: JobOptions::parallelism changes
 // only wall-clock, never results. Every run here is compared bit-for-bit —
 // vertex values, modeled total time, and the full per-superstep / per-worker
-// metric records — across thread counts, including the serial fast path.
+// metric records — across thread counts, including a single lane.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -64,9 +64,9 @@ ClusterConfig eight_partitions_four_vms() {
   return c;
 }
 
-// Thread counts to sweep: serial, two lanes, and whatever the host offers
-// (deduplicated; on a single-core builder "hardware" is the serial path and
-// the explicit 2/4 still drive the staged-merge machinery).
+// Thread counts to sweep: one lane, two, four, and whatever the host offers
+// (deduplicated; on a single-core builder "hardware" is one lane and the
+// explicit 2/4 still drive the pool and the staged merge).
 std::vector<std::uint32_t> lane_sweep() {
   std::vector<std::uint32_t> lanes{1, 2, 4};
   const unsigned hw = ThreadPool::hardware_threads();

@@ -254,5 +254,47 @@ TEST(WorkStealing, RerunOnSameEngineIsBitIdentical) {
   expect_identical_modeled_metrics(first.metrics, second.metrics);
 }
 
+// One engine reused across runs that change the lane count, the direction
+// mode and whether the governor may scale out (which makes migration
+// possible). Every run must replay a fresh engine's run bit-for-bit: no
+// staging state sized for one shape may leak into the next.
+TEST(WorkStealing, ReusedEngineMatchesFreshAcrossShapes) {
+  const Graph g = barabasi_albert(600, 3, 101);
+  const ClusterConfig c = eight_partitions_four_vms();
+  const Partitioning parts = skewed_partitioning(g.num_vertices(), c.num_partitions);
+
+  struct Shape {
+    std::uint32_t lanes;
+    DirectionOptions::Mode direction;
+    bool scale_out;
+  };
+  const Shape shapes[] = {
+      {4, DirectionOptions::Mode::kAlways, true},
+      {1, DirectionOptions::Mode::kOff, false},
+      {4, DirectionOptions::Mode::kAuto, true},
+      {1, DirectionOptions::Mode::kAlways, false},
+  };
+  Engine<SsspProgram> reused(g, {}, c, parts);
+  for (const Shape& s : shapes) {
+    JobOptions o;
+    o.roots = {0};
+    o.use_combiner = true;
+    o.frontier_grain = 16;
+    o.parallelism = s.lanes;
+    o.direction.mode = s.direction;
+    o.governor.enabled = true;
+    o.governor.scale_out_enabled = s.scale_out;
+    const auto again = reused.run(o);
+    Engine<SsspProgram> fresh_engine(g, {}, c, parts);
+    const auto fresh = fresh_engine.run(o);
+    ASSERT_FALSE(fresh.failed) << s.lanes << " lanes";
+    ASSERT_FALSE(again.failed) << s.lanes << " lanes";
+    for (std::size_t v = 0; v < fresh.values.size(); ++v)
+      EXPECT_EQ(again.values[v].distance, fresh.values[v].distance)
+          << "vertex " << v << ", " << s.lanes << " lanes";
+    expect_identical_modeled_metrics(again.metrics, fresh.metrics);
+  }
+}
+
 }  // namespace
 }  // namespace pregel

@@ -5,7 +5,11 @@
 // apply unchanged, and none of them may alter results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "algos/sssp.hpp"
@@ -155,6 +159,103 @@ TEST(SubgraphEngine, MetaGraphPlannerWorksOnVertexEngineToo) {
   ASSERT_FALSE(r.failed);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     ASSERT_EQ(r.values[v].distance, base.values[v].distance) << "vertex " << v;
+}
+
+// Floods each root's id through the graph. Every partition a root reaches
+// contributes an aggregate tagged with the root vertex and declares the root
+// done, so partitions reached in the same superstep log entries under the
+// same (remote) rank. The aggregate sums are recorded at each barrier.
+struct SharedRootFloodProgram {
+  static constexpr bool kSubgraphModel = true;
+
+  struct VertexValue {
+    std::uint64_t seen = 0;  // one bit per root id mod 64
+  };
+  using MessageValue = VertexId;
+
+  static Bytes message_payload_bytes(const MessageValue&) { return 4; }
+  static MessageValue seed_message(VertexId root) { return root; }
+
+  std::shared_ptr<std::vector<std::pair<std::uint64_t, double>>> sums =
+      std::make_shared<std::vector<std::pair<std::uint64_t, double>>>();
+
+  template <class Ctx>
+  void compute_subgraph(Ctx& ctx) const {
+    for (const std::uint32_t l : ctx.active_locals()) {
+      const VertexId v = ctx.vertex_at(l);
+      for (const VertexId root : ctx.messages(l)) {
+        const std::uint64_t bit = std::uint64_t{1} << (root % 64);
+        if (ctx.value(l).seen & bit) continue;
+        ctx.value(l).seen |= bit;
+        ctx.aggregate(root, root, 1.0 / (1.0 + v));
+        ctx.mark_root_done(root);
+        for (const VertexId u : ctx.out_neighbors(v)) ctx.send(v, u, root);
+      }
+    }
+  }
+
+  template <class MCtx>
+  void master_compute(MCtx& master) const {
+    std::vector<std::pair<std::uint64_t, double>> step(master.aggregates().items().begin(),
+                                                       master.aggregates().items().end());
+    std::sort(step.begin(), step.end());
+    sums->insert(sums->end(), step.begin(), step.end());
+  }
+};
+
+using FloodRun = std::pair<JobResult<SharedRootFloodProgram>,
+                            std::vector<std::pair<std::uint64_t, double>>>;
+
+void expect_same_flood(const FloodRun& got, const FloodRun& want, bool bit_exact) {
+  ASSERT_FALSE(got.first.failed);
+  EXPECT_EQ(got.first.metrics.supersteps.size(), want.first.metrics.supersteps.size());
+  EXPECT_EQ(got.first.roots_completed, want.first.roots_completed);
+  ASSERT_EQ(got.first.values.size(), want.first.values.size());
+  for (std::size_t v = 0; v < got.first.values.size(); ++v)
+    ASSERT_EQ(got.first.values[v].seen, want.first.values[v].seen) << "vertex " << v;
+  ASSERT_EQ(got.second.size(), want.second.size());
+  for (std::size_t i = 0; i < got.second.size(); ++i) {
+    EXPECT_EQ(got.second[i].first, want.second[i].first) << "entry " << i;
+    if (bit_exact)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.second[i].second),
+                std::bit_cast<std::uint64_t>(want.second[i].second))
+          << "entry " << i;
+    else
+      EXPECT_DOUBLE_EQ(got.second[i].second, want.second[i].second) << "entry " << i;
+  }
+}
+
+// Two partitions finishing the same root in one superstep stage equal ranks
+// in the aggregate and root-completion logs. The rank merge must drain the
+// tie (lower partition first) rather than stall on it, at any lane count and
+// after a migration. A tied tag names no emitter, so moving vertices between
+// partitions may reorder the tied contributions: across a migration the sums
+// agree to rounding; at a fixed placement history they are bit-identical.
+TEST(SubgraphEngine, CrossPartitionRankTiesReplayIdentically) {
+  const Graph g = watts_strogatz(400, 6, 0.2, 17);
+  const ClusterConfig base_cfg = eight_partitions_four_vms();
+  const ClusterConfig migr_cfg = with_forced_migration(
+      base_cfg, std::make_shared<ActivityGreedyPlanner>(/*tolerance=*/0.05), 1);
+  const auto parts = HashPartitioner{}.partition(g, base_cfg.num_partitions);
+  const auto run = [&](const ClusterConfig& cfg, std::uint32_t lanes) {
+    SharedRootFloodProgram program;
+    Engine<SharedRootFloodProgram> e(g, program, cfg, parts);
+    JobOptions o;
+    o.roots = {0, 57, 211};
+    o.parallelism = lanes;
+    auto r = e.run(o);
+    return FloodRun(std::move(r), *program.sums);
+  };
+  const FloodRun base = run(base_cfg, 1);
+  ASSERT_FALSE(base.first.failed);
+  ASSERT_FALSE(base.second.empty());
+  for (const auto& value : base.first.values) ASSERT_NE(value.seen, 0u);
+
+  expect_same_flood(run(base_cfg, 4), base, /*bit_exact=*/true);
+  const FloodRun migr = run(migr_cfg, 1);
+  EXPECT_GT(migr.first.metrics.migrated_vertices, 0u);
+  expect_same_flood(migr, base, /*bit_exact=*/false);
+  expect_same_flood(run(migr_cfg, 4), migr, /*bit_exact=*/true);
 }
 
 // Subgraph jobs are ordinary ScheduledJobs: sliced onto a contended pool,
