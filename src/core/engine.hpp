@@ -2,10 +2,11 @@
 // paper's Pregel.NET architecture (§III).
 //
 // One Engine instance hosts `num_partitions` graph partitions. Each
-// superstep it (1) drains every active vertex's inbox through the user
+// superstep it (1) drains every active vertex's inbox — a span of its
+// partition's sealed inbox arena (core/inbox.hpp) — through the user
 // program's compute(), (2) routes emitted messages — in-memory to vertices
 // whose partition lives on the same worker VM, "bulk" serialized transfer to
-// remote VMs, (3) meters per-VM compute/serialization/network/memory through
+// remote VMs — into each destination partition's arrival log, (3) meters per-VM compute/serialization/network/memory through
 // the cloud CostModel, and (4) runs the barrier: master compute, swath
 // scheduling, elastic scaling, halt detection.
 //
@@ -66,9 +67,10 @@
 // per-vertex compute() with a per-partition hook:
 //   template <class Ctx> void compute_subgraph(Ctx& ctx) const;
 // The engine then hands each partition ONE SubgraphContext per superstep —
-// full local adjacency view, per-vertex boundary inboxes, a staged boundary
-// outbox, and the shared aggregator — and the program runs a sequential
-// algorithm to local convergence before the barrier. Everything around
+// full local adjacency view, each local vertex's boundary messages (a span
+// of the partition's sealed inbox arena), a staged boundary outbox, and the
+// shared aggregator — and the program runs a sequential algorithm to local
+// convergence before the barrier. Everything around
 // compute is unchanged: barriers, fault injection, checkpointing (the delta
 // write barrier via state_unchanged_all/mark_changed), migration, the
 // memory governor, and the scheduler all drive subgraph jobs exactly as
@@ -87,7 +89,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -102,6 +103,7 @@
 #include "cloud/queue.hpp"
 #include "core/aggregates.hpp"
 #include "core/config.hpp"
+#include "core/inbox.hpp"
 #include "graph/graph.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/rebalance.hpp"
@@ -206,7 +208,7 @@ class VertexContext {
 /// Handed to Program::compute_subgraph once per partition per superstep
 /// (subgraph-centric programs only; docs/SUBGRAPH.md). The context exposes
 /// the partition's full local view — vertex list, values, adjacency through
-/// the shared graph, per-vertex inboxes of boundary messages, this
+/// the shared graph, each local vertex's boundary messages, this
 /// superstep's frontier — plus a staged boundary outbox and the shared
 /// aggregator. All emissions are staged into the partition's chunk scratch
 /// and merged in canonical order after the compute barrier, so results are
@@ -265,7 +267,7 @@ class SubgraphContext {
   /// Boundary/seed messages delivered to a local vertex this superstep, in
   /// ascending sender-rank order.
   std::span<const MessageValue> messages(std::uint32_t local) const {
-    return engine_->parts_[partition_].inbox_cur[local];
+    return engine_->parts_[partition_].inbox.messages(local);
   }
 
   // ---- boundary outbox and activation -------------------------------------
@@ -577,11 +579,12 @@ class Engine {
   struct PartitionState {
     std::vector<VertexId> vertices;  ///< global ids, ascending
     std::vector<V> values;           ///< by local index
-    std::vector<std::vector<M>> inbox_cur, inbox_next;
-    /// Source VM of each buffered message, maintained only while a combiner
-    /// is active: a Pregel combiner is sender-side, so only messages that
-    /// left the same worker may merge.
-    std::vector<std::vector<std::uint8_t>> inbox_cur_src, inbox_next_src;
+    /// Next superstep's messages as an arrival log, this superstep's sealed
+    /// into a CSR arena at prepare_superstep (core/inbox.hpp). Combiner
+    /// chains run only while a combiner is active: a Pregel combiner is
+    /// sender-side, so only messages that left the same worker may merge.
+    InboxArena<M> inbox;
+    /// Modeled bytes of the sealed arena (cur) and of the arrival log (next).
     Bytes inbox_cur_bytes = 0, inbox_next_bytes = 0;
     std::vector<std::uint32_t> active_cur, active_next;
     std::vector<bool> in_active_next;
@@ -620,6 +623,13 @@ class Engine {
     std::uint8_t combine_src;
     std::uint32_t seq;
     M message;
+  };
+
+  /// A staged pointwise send queued for a pull-mode merge, with its source
+  /// partition.
+  struct PullSend {
+    StagedMessage* s = nullptr;
+    std::uint32_t src = 0;
   };
 
   /// Aggregate contribution / root completion captured during staged
@@ -690,10 +700,7 @@ class Engine {
     for (auto& ps : parts_) {
       const std::size_t pn = ps.vertices.size();
       ps.values.resize(pn);
-      ps.inbox_cur.resize(pn);
-      ps.inbox_next.resize(pn);
-      ps.inbox_cur_src.resize(pn);
-      ps.inbox_next_src.resize(pn);
+      ps.inbox.reset(static_cast<std::uint32_t>(pn), false);
       ps.in_active_next.assign(pn, false);
       EdgeIndex arcs = 0;
       for (VertexId v : ps.vertices) arcs += graph_->out_degree(v);
@@ -746,7 +753,7 @@ class Engine {
         cluster_.migration.enabled() ||
         (opts.governor.enabled && opts.governor.scale_out_enabled);
     opts_ = opts;
-    opts_combine_ = opts.use_combiner;
+    opts_combine_ = has_combiner() && opts.use_combiner;
     last_messages_sent_ = 0;
     roots_completed_ = 0;
     ckpt_.configure(cluster_.ckpt, static_cast<std::uint32_t>(parts_.size()));
@@ -780,10 +787,7 @@ class Engine {
     globals_next_ = Globals{};
     for (auto& ps : parts_) {
       std::fill(ps.values.begin(), ps.values.end(), V{});
-      for (auto& ib : ps.inbox_cur) ib.clear();
-      for (auto& ib : ps.inbox_next) ib.clear();
-      for (auto& sb : ps.inbox_cur_src) sb.clear();
-      for (auto& sb : ps.inbox_next_src) sb.clear();
+      ps.inbox.reset(ps.inbox.locals(), opts_combine_);
       ps.inbox_cur_bytes = ps.inbox_next_bytes = 0;
       ps.active_cur.clear();
       ps.active_next.clear();
@@ -832,10 +836,13 @@ class Engine {
         direction_capable() && opts.direction.mode != DirectionOptions::Mode::kOff;
     pull_mode_ = pull_this_step_ = last_pull_mode_ = false;
     last_steals_ = {};
-    if (direction_enabled_)
+    if (direction_enabled_) {
       broadcast_store_.assign(graph_->num_vertices(), {});
-    else
+      pull_sends_.resize(parts_.size());
+    } else {
       broadcast_store_.clear();
+      pull_sends_.clear();
+    }
     send_scratch_.assign(parts_.size() * parts_.size(), {});
 
     faults_ = cloud::FaultInjector(cluster_.faults);
@@ -918,10 +925,11 @@ class Engine {
            ps.inbox_cur_bytes + ps.inbox_next_bytes;
   }
 
+  /// Seal every partition's arrival log into the arena compute reads (on
+  /// the pool at more than one lane), then stage the frontier.
   void prepare_superstep() {
+    for_each_partition([this](std::size_t p) { parts_[p].inbox.seal(); });
     for (auto& ps : parts_) {
-      ps.inbox_cur.swap(ps.inbox_next);
-      ps.inbox_cur_src.swap(ps.inbox_next_src);
       ps.inbox_cur_bytes = ps.inbox_next_bytes;
       ps.inbox_next_bytes = 0;
       ps.active_cur = std::move(ps.active_next);
@@ -1008,9 +1016,10 @@ class Engine {
   }
 
   /// Drain one frontier chunk through compute(), staging every side effect
-  /// in the chunk's scratch. Chunks touch only their own scratch, their own
-  /// vertices' inboxes/values (disjoint: a vertex is in exactly one leaf),
-  /// and per-vertex state_bytes_v slots — so any lane may run any chunk.
+  /// in the chunk's scratch. Chunks write only their own scratch, their own
+  /// vertices' values (disjoint: a vertex is in exactly one leaf), and
+  /// per-vertex state_bytes_v slots, and read the sealed inbox arena — so
+  /// any lane may run any chunk.
   void compute_chunk(std::size_t c) {
     const ChunkRef ref = chunks_[c];
     trace::Span span("engine.compute", "superstep", "part", ref.partition, "chunk", c);
@@ -1025,19 +1034,14 @@ class Engine {
       cs.computing_src = static_cast<std::uint8_t>(placement_[orig_part_[ps.vertices[l]]]);
       cs.emit_seq = 0;
       VertexContext<Program> ctx(this, ref.partition, l, ps.vertices[l], c);
-      std::vector<M>& box = ps.inbox_cur[l];
-      if constexpr (has_combiner()) {
-        if (opts_combine_) PREGEL_DCHECK(ps.inbox_cur_src[l].size() == box.size());
-      }
+      const std::span<const M> box = ps.inbox.messages(l);
       ++cs.load.vertices_computed;
       cs.load.messages_processed += box.size();
-      program_.compute(ctx, ps.values[l], std::span<const M>(box));
+      program_.compute(ctx, ps.values[l], box);
       // Safe unstaged: dirty is per-vertex and a vertex lives in exactly
       // one chunk, so concurrent chunks write disjoint bytes.
       if (track_dirty_ && ctx.mutated_) ps.dirty[l] = 1;
       for (const M& m : box) cs.drained_bytes += cost_.buffered_bytes(payload_bytes(m));
-      shrink_after_drain(box);
-      if (opts_combine_) shrink_after_drain(ps.inbox_cur_src[l]);
     }
   }
 
@@ -1073,6 +1077,9 @@ class Engine {
       return;
     }
     const std::size_t n = parts_.size();
+    std::size_t staged = 0;
+    for (std::size_t c = 0; c < chunks_.size(); ++c) staged += chunk_scratch_[c].out[q].size();
+    parts_[q].inbox.reserve(staged);
     rank_merge(
         [this, q](std::uint32_t c) -> std::vector<StagedMessage>& {
           return chunk_scratch_[c].out[q];
@@ -1148,43 +1155,38 @@ class Engine {
   /// combiner scans; all cross-target effects are order-free sums or
   /// deduped sets), and within one sender the emissions to a given target
   /// appear in call order under both schemes — so the synthesized stream
-  /// matches push message for message. Parallel edges: a broadcast record
-  /// is delivered once per adjacent duplicate in the in-neighbor list
-  /// (record-major, exactly the per-target order the push loop produces).
+  /// matches push message for message. The rank merge yields the pointwise
+  /// sends in (rank, seq) order and the seal's stable counting sort groups
+  /// them by target, so each target's sends come out (rank, seq)-sorted in
+  /// O(sends). Parallel edges: a broadcast record is delivered once per
+  /// adjacent duplicate in the in-neighbor list (record-major, exactly the
+  /// per-target order the push loop produces).
   void merge_destination_pull(std::uint32_t q) {
     const std::size_t n = parts_.size();
-    struct Pending {
-      std::uint32_t target_local;
-      std::uint32_t rank;
-      std::uint32_t seq;
-      std::uint32_t src_part;
-      std::uint8_t combine_src;
-      M message;
-    };
-    std::vector<Pending> pending;
-    for (std::uint32_t src = 0; src < n; ++src) {
-      const auto [first, last] = part_chunk_range_[src];
-      for (std::uint32_t c = first; c < last; ++c) {
-        std::vector<StagedMessage>& row = chunk_scratch_[c].out[q];
-        for (StagedMessage& s : row)
-          pending.push_back(
-              Pending{s.target_local, s.sender_rank, s.seq, src, s.combine_src,
-                      std::move(s.message)});
-        shrink_after_drain(row);
-      }
-    }
-    // (target, rank, seq) is unique — one sender emits each seq once — so
-    // the sort is a total order and lane scheduling cannot perturb it.
-    std::sort(pending.begin(), pending.end(), [](const Pending& a, const Pending& b) {
-      return std::tie(a.target_local, a.rank, a.seq) <
-             std::tie(b.target_local, b.rank, b.seq);
-    });
-
     PartitionState& dst = parts_[q];
-    std::size_t pi = 0;
+    // Size the log for every delivery up front (an upper bound under a
+    // combiner): one pass over q's in-edges, far fewer than the deliveries.
+    std::size_t deliveries = 0;
+    for (std::size_t c = 0; c < chunks_.size(); ++c) deliveries += chunk_scratch_[c].out[q].size();
+    for (const VertexId gu : dst.vertices)
+      for (std::size_t e = pull_off_[gu]; e < pull_off_[gu + 1]; ++e)
+        deliveries += broadcast_store_[pull_src_[e]].size();
+    dst.inbox.reserve(deliveries);
+    InboxArena<PullSend>& sends = pull_sends_[q];
+    sends.reset(static_cast<std::uint32_t>(dst.vertices.size()), false);
+    rank_merge(
+        [this, q](std::uint32_t c) -> std::vector<StagedMessage>& {
+          return chunk_scratch_[c].out[q];
+        },
+        [](const StagedMessage& s) { return s.sender_rank; },
+        [&sends](std::uint32_t src, StagedMessage& s) {
+          sends.append(s.target_local, PullSend{&s, src});
+        });
+    sends.seal();
+
     for (std::uint32_t u = 0; u < dst.vertices.size(); ++u) {
-      std::size_t pe = pi;
-      while (pe < pending.size() && pending[pe].target_local == u) ++pe;
+      const std::span<const PullSend> mine = sends.messages(u);
+      std::size_t pi = 0;
       const VertexId gu = dst.vertices[u];
       std::size_t ei = pull_off_[gu];
       const std::size_t ie = pull_off_[gu + 1];
@@ -1197,22 +1199,22 @@ class Engine {
         }
       };
       skip_silent();
-      while (pi < pe || ei < ie) {
+      while (pi < mine.size() || ei < ie) {
         bool take_pending;
-        if (pi >= pe) {
+        if (pi >= mine.size()) {
           take_pending = false;
         } else if (ei >= ie) {
           take_pending = true;
         } else {
           const VertexId w = pull_src_[ei];
-          take_pending = std::pair(pending[pi].rank, pending[pi].seq) <
+          take_pending = std::pair(mine[pi].s->sender_rank, mine[pi].s->seq) <
                          std::pair(rank_of_[w], broadcast_store_[w][ri].first);
         }
         if (take_pending) {
-          Pending& s = pending[pi++];
-          SendScratch& acc = send_scratch_[q * n + s.src_part];
-          deliver(s.src_part, q, u, std::move(s.message), acc.load, acc.outbuf_bytes,
-                  s.combine_src);
+          const PullSend& send = mine[pi++];
+          SendScratch& acc = send_scratch_[q * n + send.src];
+          deliver(send.src, q, u, std::move(send.s->message), acc.load, acc.outbuf_bytes,
+                  send.s->combine_src);
         } else {
           const VertexId w = pull_src_[ei];
           const auto& recs = broadcast_store_[w];
@@ -1230,8 +1232,9 @@ class Engine {
           }
         }
       }
-      pi = pe;
     }
+    sends.drain();
+    for (std::size_t c = 0; c < chunks_.size(); ++c) shrink_after_drain(chunk_scratch_[c].out[q]);
   }
 
   /// Run `f(p)` for every partition index — on the pool when one exists,
@@ -1270,8 +1273,8 @@ class Engine {
   }
 
   /// The superstep tail both programming models share: fold chunk-local
-  /// partition counters back in chunk order (integer sums plus the clamped
-  /// inbox drain), merge every destination, fold the per-(destination x
+  /// partition counters back in chunk order (integer sums), retire the
+  /// drained arenas, merge every destination, fold the per-(destination x
   /// source) send counters back into their source partitions (order-free
   /// integer sums), then replay the aggregate / root logs in rank order.
   void merge_and_replay() {
@@ -1279,14 +1282,20 @@ class Engine {
     for (std::uint32_t p = 0; p < n; ++p) {
       PartitionState& ps = parts_[p];
       const auto [first, last] = part_chunk_range_[p];
+      Bytes drained = 0;
       for (std::uint32_t c = first; c < last; ++c) {
         const ChunkScratch& cs = chunk_scratch_[c];
         ps.load.vertices_computed += cs.load.vertices_computed;
         ps.load.messages_processed += cs.load.messages_processed;
         ps.load.subgraph_ops += cs.load.subgraph_ops;
-        ps.inbox_cur_bytes -= std::min(ps.inbox_cur_bytes, cs.drained_bytes);
+        drained += cs.drained_bytes;
         ps.state_bytes += cs.state_delta;
       }
+      // Every sealed message belongs to an active vertex (delivery and seed
+      // injection activate their target), so compute drains each exactly once.
+      PREGEL_CHECK_MSG(drained == ps.inbox_cur_bytes, "inbox byte counter out of balance");
+      ps.inbox_cur_bytes = 0;
+      ps.inbox.drain();
     }
 
     for_each_partition([this](std::size_t q) {
@@ -1343,8 +1352,13 @@ class Engine {
     trace::Span span("engine.compute", "superstep", "part", p);
     ChunkScratch& cs = chunk_scratch_[p];
     cs.load.vertices_computed += ps.active_cur.size();
-    for (const std::uint32_t l : ps.active_cur)
-      cs.load.messages_processed += ps.inbox_cur[l].size();
+    // The program reads the frontier's sealed inboxes (every message's
+    // target is active — delivery activates it), draining them all.
+    for (const std::uint32_t l : ps.active_cur) {
+      const std::span<const M> box = ps.inbox.messages(l);
+      cs.load.messages_processed += box.size();
+      for (const M& m : box) cs.drained_bytes += cost_.buffered_bytes(payload_bytes(m));
+    }
 
     SubgraphContext<Program> ctx(this, p);
     program_.compute_subgraph(ctx);
@@ -1356,15 +1370,6 @@ class Engine {
         // Conservative default, mirroring the vertex path's mutated_ = true.
         for (const std::uint32_t l : ps.active_cur) ps.dirty[l] = 1;
       }
-    }
-
-    // Drain the frontier's inboxes (every non-empty inbox belongs to an
-    // active local — delivery activates its target).
-    for (const std::uint32_t l : ps.active_cur) {
-      auto& box = ps.inbox_cur[l];
-      for (const M& m : box) cs.drained_bytes += cost_.buffered_bytes(payload_bytes(m));
-      shrink_after_drain(box);
-      if (opts_combine_) shrink_after_drain(ps.inbox_cur_src[l]);
     }
 
     for (auto& row : cs.out)
@@ -3020,13 +3025,29 @@ class Engine {
       const std::uint32_t l = local_of_[mv.vertex];
       // What physically moves: the vertex object + adjacency (the managed-
       // runtime footprint build_partitions models), its value, its exact
-      // modeled algorithm state, and any buffered inbox messages.
+      // modeled algorithm state, and any buffered inbox messages (below).
       Bytes b = 64 + static_cast<Bytes>(graph_->out_degree(mv.vertex)) * 8 + sizeof(V);
       if (!ps.state_bytes_v.empty())
         b += static_cast<Bytes>(std::max<std::int64_t>(ps.state_bytes_v[l], 0));
-      for (const M& m : ps.inbox_cur[l]) b += cost_.buffered_bytes(payload_bytes(m));
-      for (const M& m : ps.inbox_next[l]) b += cost_.buffered_bytes(payload_bytes(m));
       moves.push_back({mv.vertex, mv.from, mv.to, b});
+    }
+    // Buffered messages: one pass over each donor partition's arrival log
+    // (at a barrier every sealed arena is drained).
+    constexpr std::uint32_t kStays = std::numeric_limits<std::uint32_t>::max();
+    std::vector<std::vector<std::uint32_t>> move_of(parts_.size());
+    for (std::uint32_t k = 0; k < moves.size(); ++k) {
+      std::vector<std::uint32_t>& slot = move_of[moves[k].from];
+      if (slot.empty()) slot.assign(parts_[moves[k].from].vertices.size(), kStays);
+      slot[local_of_[moves[k].v]] = k;
+    }
+    for (std::uint32_t p = 0; p < parts_.size(); ++p) {
+      if (move_of[p].empty()) continue;
+      const InboxArena<M>& inbox = parts_[p].inbox;
+      PREGEL_DCHECK(inbox.drained());
+      for (std::size_t i = 0; i < inbox.arrivals(); ++i) {
+        const std::uint32_t k = move_of[p][inbox.arrival_local(i)];
+        if (k != kStays) moves[k].bytes += cost_.buffered_bytes(payload_bytes(inbox.arrival(i)));
+      }
     }
 
     // Cross-VM transfer manifest, summed per (donor, receiver) VM pair;
@@ -3086,9 +3107,10 @@ class Engine {
   }
 
   /// Rebuild every partition a move touches around its new membership. Each
-  /// vertex carries its value, inboxes (and combiner source tags), modeled
-  /// state bytes, pending activation, and scheduled wakes; partition vertex
-  /// lists stay ascending by global id and part_of_/local_of_ are updated.
+  /// vertex carries its value, buffered messages (with their combiner
+  /// source domains), modeled state bytes, pending activation, and scheduled
+  /// wakes; partition vertex lists stay ascending by global id and
+  /// part_of_/local_of_ are updated.
   template <class PendingVec>
   void rebuild_partitions_for_moves(const PendingVec& moves) {
     std::unordered_map<VertexId, PartitionId> dest;
@@ -3120,10 +3142,7 @@ class Engine {
       const std::size_t pn = nv.size();
       ns.vertices = std::move(nv);
       ns.values.resize(pn);
-      ns.inbox_cur.resize(pn);
-      ns.inbox_next.resize(pn);
-      ns.inbox_cur_src.resize(pn);
-      ns.inbox_next_src.resize(pn);
+      ns.inbox.reset(static_cast<std::uint32_t>(pn), opts_combine_);
       ns.in_active_next.assign(pn, false);
       ns.state_bytes_v.assign(pn, 0);
       ns.graph_bytes = partition_graph_bytes(ns.vertices);
@@ -3139,16 +3158,8 @@ class Engine {
         PartitionState& os = old.at(part_of_[v]);
         const std::uint32_t ol = local_of_[v];
         ns.values[nl] = std::move(os.values[ol]);
-        ns.inbox_cur[nl] = std::move(os.inbox_cur[ol]);
-        ns.inbox_next[nl] = std::move(os.inbox_next[ol]);
-        ns.inbox_cur_src[nl] = std::move(os.inbox_cur_src[ol]);
-        ns.inbox_next_src[nl] = std::move(os.inbox_next_src[ol]);
         if (!os.state_bytes_v.empty()) ns.state_bytes_v[nl] = os.state_bytes_v[ol];
         ns.state_bytes += ns.state_bytes_v[nl];
-        for (const M& m : ns.inbox_cur[nl])
-          ns.inbox_cur_bytes += cost_.buffered_bytes(payload_bytes(m));
-        for (const M& m : ns.inbox_next[nl])
-          ns.inbox_next_bytes += cost_.buffered_bytes(payload_bytes(m));
         if (os.in_active_next[ol]) {
           ns.in_active_next[nl] = true;
           ns.active_next.push_back(nl);
@@ -3171,12 +3182,27 @@ class Engine {
       }
     }
 
-    // Finally flip the location tables to the new layout.
+    // Flip the location tables to the new layout.
     for (const PartitionId p : affected) {
       const PartitionState& ns = parts_[p];
       for (std::uint32_t nl = 0; nl < ns.vertices.size(); ++nl) {
         part_of_[ns.vertices[nl]] = p;
         local_of_[ns.vertices[nl]] = nl;
+      }
+    }
+
+    // Re-home buffered messages in log order (the sealed arenas are drained
+    // at a barrier). Each vertex's messages come from one old log, so its
+    // own arrival order, and with it its sealed inbox, is unchanged.
+    for (const PartitionId p : affected) {
+      PartitionState& os = old.at(p);
+      PREGEL_DCHECK(os.inbox.drained());
+      for (std::size_t i = 0; i < os.inbox.arrivals(); ++i) {
+        M& m = os.inbox.arrival(i);
+        const VertexId v = os.vertices[os.inbox.arrival_local(i)];
+        PartitionState& ns = parts_[part_of_[v]];
+        ns.inbox_next_bytes += cost_.buffered_bytes(payload_bytes(m));
+        ns.inbox.append(local_of_[v], std::move(m), os.inbox.arrival_src(i));
       }
     }
   }
@@ -3242,12 +3268,6 @@ class Engine {
     }
   }
 
-  /// Manager-injected seeds carry this sentinel in the combiner source
-  /// array: no worker VM id ever equals it (the sender-side combining model
-  /// already keys sources by uint8_t VM id), so worker messages never merge
-  /// into a seed and vice versa.
-  static constexpr std::uint8_t kSeedSource = 0xFF;
-
   void inject_seed(VertexId root) {
     if constexpr (requires(VertexId r) {
                     { Program::seed_message(r) } -> std::convertible_to<M>;
@@ -3257,13 +3277,10 @@ class Engine {
       const std::uint32_t l = local_of_[root];
       PartitionState& ps = parts_[p];
       ps.inbox_next_bytes += cost_.buffered_bytes(payload_bytes(seed));
-      ps.inbox_next[l].push_back(std::move(seed));
-      // Keep the combiner source array in lockstep with the inbox: a seed
-      // appended without a source entry leaves the arrays desynced, and any
-      // later combiner scan of this inbox would read srcs[i] past its end.
-      if constexpr (has_combiner()) {
-        if (opts_combine_) ps.inbox_next_src[l].push_back(kSeedSource);
-      }
+      // Seeds carry the manager's sentinel source domain (kSeedSource): the
+      // sender-side combining model keys sources by uint8_t VM id, so worker
+      // messages never merge into a seed and vice versa.
+      ps.inbox.append(l, std::move(seed), kSeedSource);
       activate_local(p, l);
     }
   }
@@ -3330,18 +3347,12 @@ class Engine {
     // benefit Pregel combiners exist to provide.
     if constexpr (has_combiner()) {
       if (opts_combine_) {
-        const std::uint64_t key = Program::combine_key(message);
-        const std::uint8_t src_vm = combine_src;
-        auto& box = dst.inbox_next[tl];
-        auto& srcs = dst.inbox_next_src[tl];
-        PREGEL_DCHECK(box.size() == srcs.size());
-        for (std::size_t i = 0; i < box.size(); ++i) {
-          if (srcs[i] == src_vm && Program::combine_key(box[i]) == key) {
-            Program::combine(box[i], message);
-            return;
-          }
+        M* acc = dst.inbox.match(tl, combine_src, Program::combine_key(message),
+                                 [](const M& m) { return Program::combine_key(m); });
+        if (acc != nullptr) {
+          Program::combine(*acc, message);
+          return;
         }
-        srcs.push_back(src_vm);
         // fall through to the normal (uncombined) accounting below
       }
     }
@@ -3358,7 +3369,7 @@ class Engine {
       ++src_load.messages_sent_local;
     }
     dst.inbox_next_bytes += cost_.buffered_bytes(payload);
-    dst.inbox_next[tl].push_back(std::move(message));
+    dst.inbox.append(tl, std::move(message), combine_src);
     activate_local(tp, tl);
   }
 
@@ -3617,6 +3628,9 @@ class Engine {
   std::vector<std::size_t> pull_off_;
   std::vector<VertexId> pull_src_;
   bool pull_index_built_ = false;
+  /// Per destination partition: its pull merge's pointwise sends, grouped
+  /// by target through the inbox seal (capacity kept across supersteps).
+  std::vector<InboxArena<PullSend>> pull_sends_;
 };
 
 }  // namespace pregel

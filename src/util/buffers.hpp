@@ -1,13 +1,12 @@
-// Capacity policy for per-vertex buffers that are filled and drained every
-// superstep (inbox message vectors, their combiner source-tag mirrors, and
-// staged outbox rows).
+// Capacity policy for buffers that are filled and drained every superstep,
+// one small buffer per sender or per (chunk, destination): the engine's
+// staged outbox rows and its pull-mode broadcast records.
 //
 // One threshold, applied identically to every such buffer: after a drain,
 // capacity above kDrainShrinkElements is released to the allocator, anything
-// smaller stays cached for the next superstep. Paired buffers (a message box
-// and the source-tag vector mirroring it entry-for-entry) therefore shrink
-// in lockstep, so the modeled resident bytes the memory governor reads and
-// the real capacities underneath them cannot drift apart buffer by buffer.
+// smaller stays cached for the next superstep. Inboxes are not governed by
+// it: each partition's messages live in one flat arrival log and one sealed
+// arena (core/inbox.hpp), whose capacity rule is stated there.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +15,7 @@ namespace pregel {
 
 /// Buffers at or below this many elements keep their capacity across
 /// supersteps; larger ones are released after each drain. Reallocating every
-/// small box every superstep is pure churn for the common small-frontier
+/// small row every superstep is pure churn for the common small-frontier
 /// case, while a burst-sized buffer held forever is a leak the governor's
 /// accounting never sees.
 inline constexpr std::size_t kDrainShrinkElements = 64;

@@ -1,13 +1,14 @@
-// Regression coverage for the combiner/seed inbox desync: inject_seed used
-// to append a seed message to a vertex's next inbox without the matching
-// source-VM entry, leaving the two arrays the combiner scan walks in
-// lockstep desynced (srcs[i] indexed past its end). These tests run every
-// root-seeded algorithm with the combiner enabled — the configuration that
-// materializes the desync — and pin the results against combiner-off runs;
-// debug builds additionally assert the lockstep invariant at every combiner
-// scan and inbox drain.
+// Regression coverage for combining around seeds. inject_seed once appended
+// a seed message to a vertex's inbox without the matching source-VM entry,
+// desyncing the parallel arrays the combiner scan walked. Each arrival in
+// the flat inbox (core/inbox.hpp) now carries its own source domain, so the
+// desync cannot recur; these tests run every root-seeded algorithm with the
+// combiner enabled and pin the results against combiner-off runs, and the
+// InboxArena cases pin the combiner lookup itself: first match in arrival
+// order by (source domain, key), per target, with seeds never matching.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "algos/bc.hpp"
 #include "algos/sssp.hpp"
 #include "core/engine.hpp"
+#include "core/inbox.hpp"
 #include "graph/generators.hpp"
 #include "partition/partitioner.hpp"
 
@@ -130,6 +132,59 @@ TEST(CombinerSeeds, SeedNeverMergesWithWorkerMessages) {
   EXPECT_EQ(r.values[0].distance, 0u);
   for (VertexId v = 0; v < n; ++v)
     EXPECT_EQ(r.values[v].distance, std::min(v, n - v)) << "vertex " << v;
+}
+
+struct Keyed {
+  std::uint64_t key;
+  int value;
+};
+
+constexpr auto key_of = [](const Keyed& m) { return m.key; };
+
+// The lookup deliver() uses to combine: the first buffered arrival for the
+// same target from the same source domain with the same key.
+TEST(InboxArena, CombinerMatchIsFirstInArrivalOrder) {
+  InboxArena<Keyed> arena;
+  arena.reset(2, /*chains=*/true);
+  arena.append(0, {7, 1}, /*src=*/2);
+  arena.append(1, {7, 2}, /*src=*/2);  // another target: never a candidate
+  arena.append(0, {9, 3}, /*src=*/2);  // another key
+  arena.append(0, {7, 4}, /*src=*/3);  // another source domain
+  arena.append(0, {7, 5}, /*src=*/2);  // a later duplicate
+  Keyed* hit = arena.match(0, 2, 7, key_of);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->value, 1);
+  EXPECT_EQ(arena.match(0, 4, 7, key_of), nullptr);
+  EXPECT_EQ(arena.match(1, 2, 9, key_of), nullptr);
+  hit->value += 100;  // combine in place, as deliver() does
+
+  arena.seal();
+  const auto box = arena.messages(0);
+  ASSERT_EQ(box.size(), 4u);
+  EXPECT_EQ(box[0].value, 101);
+  EXPECT_EQ(box[1].value, 3);
+  EXPECT_EQ(box[2].value, 4);
+  EXPECT_EQ(box[3].value, 5);
+  arena.drain();
+  // Sealing starts fresh chains: nothing from the last log matches.
+  EXPECT_EQ(arena.match(0, 2, 7, key_of), nullptr);
+}
+
+TEST(InboxArena, SeedNeverMatchesWorkerMessage) {
+  InboxArena<Keyed> arena;
+  arena.reset(1, /*chains=*/true);
+  arena.append(0, {0, 10}, kSeedSource);
+  for (std::uint8_t vm = 0; vm < kSeedSource; ++vm)
+    EXPECT_EQ(arena.match(0, vm, 0, key_of), nullptr) << "vm " << int{vm};
+  arena.append(0, {0, 20}, /*src=*/0);
+  Keyed* worker = arena.match(0, 0, 0, key_of);
+  ASSERT_NE(worker, nullptr);
+  EXPECT_EQ(worker->value, 20);
+  // Seeds are appended, never combined, so two of them stay two arrivals,
+  // and a seed lookup finds the first.
+  arena.append(0, {0, 30}, kSeedSource);
+  EXPECT_EQ(arena.match(0, kSeedSource, 0, key_of)->value, 10);
+  EXPECT_EQ(arena.arrivals(), 3u);
 }
 
 }  // namespace

@@ -86,6 +86,9 @@ constexpr std::uint64_t kSsspDirectionAuto = 0xae1ff8d3f5a558a8ULL;
 constexpr std::uint64_t kComponents = 0x3bd4186fc4348522ULL;
 constexpr std::uint64_t kSsspForcedMigration = 0x7f3d0fdf25f39671ULL;
 constexpr std::uint64_t kSubgraphComponents = 0x75428495c530b76cULL;
+// Pinned before per-vertex inboxes became one flat arena per partition.
+constexpr std::uint64_t kPageRankCombinerCheckpointedMigration = 0x038c68b2a515c4d4ULL;
+constexpr std::uint64_t kBcSwathedPullAlways = 0xda852d74a8059127ULL;
 
 constexpr std::uint32_t kLanes[] = {1, 4};
 
@@ -117,6 +120,36 @@ TEST(GoldenDigest, PageRankCombinerOn) { expect_pagerank_digest(true, kPageRankC
 
 TEST(GoldenDigest, PageRankCombinerOff) { expect_pagerank_digest(false, kPageRankCombinerOff); }
 
+// Combiner chains, buffered messages re-homed by migration, and buffered
+// messages carried through delta checkpoints and a rollback, in one run.
+TEST(GoldenDigest, PageRankCombinerCheckpointedMigration) {
+  const Graph g = barabasi_albert(500, 3, 2013);
+  ClusterConfig c = eight_partitions_four_vms();
+  c.migration.planner = std::make_shared<ActivityGreedyPlanner>(/*tolerance=*/0.05);
+  c.migration.period = 2;
+  c.checkpoint_interval = 2;
+  c.ckpt.delta_enabled = true;
+  c.scheduled_failures = {{5, 1}};
+  const auto parts = HashPartitioner{}.partition(g, c.num_partitions);
+  const auto ref = reference_pagerank(g, 12);
+  for (const std::uint32_t lanes : kLanes) {
+    JobOptions o;
+    o.start_all_vertices = true;
+    o.use_combiner = true;
+    o.parallelism = lanes;
+    Engine<PageRankProgram> e(g, {12, 0.85}, c, parts);
+    const auto r = e.run(o);
+    ASSERT_FALSE(r.failed);
+    EXPECT_GT(r.metrics.migrations, 0u) << "planner never fired";
+    EXPECT_GT(r.metrics.checkpoint_deltas, 0u) << "no delta generation";
+    EXPECT_EQ(r.metrics.worker_failures, 1u);
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      ASSERT_NEAR(r.values[v].rank, ref[v], 1e-12) << "vertex " << v;
+    EXPECT_EQ(digest(r, kRankBits), kPageRankCombinerCheckpointedMigration)
+        << lanes << " lanes";
+  }
+}
+
 TEST(GoldenDigest, BcSwathed) {
   const Graph g = barabasi_albert(300, 3, 2013);
   const ClusterConfig c = eight_partitions_four_vms();
@@ -138,6 +171,34 @@ TEST(GoldenDigest, BcSwathed) {
       ASSERT_NEAR(r.values[v].bc_score, ref[v], 1e-9 * std::max(1.0, std::abs(ref[v])))
           << "vertex " << v;
     EXPECT_EQ(digest(r, kBcBits), kBcSwathed) << lanes << " lanes";
+  }
+}
+
+// Every broadcast superstep pulls: the destination-side synthesis of the
+// push stream, seeds landing behind pulled messages, and root completions.
+TEST(GoldenDigest, BcSwathedPullAlways) {
+  const Graph g = barabasi_albert(300, 3, 2013);
+  const ClusterConfig c = eight_partitions_four_vms();
+  const auto parts = HashPartitioner{}.partition(g, c.num_partitions);
+  std::vector<VertexId> roots;
+  for (VertexId r = 0; r < 12; ++r) roots.push_back(r * 23 % g.num_vertices());
+  const auto ref = reference_betweenness(g, roots);
+  for (const std::uint32_t lanes : kLanes) {
+    JobOptions o;
+    o.roots = roots;
+    o.swath = SwathPolicy::make(std::make_shared<StaticSwathSizer>(4),
+                                std::make_shared<StaticNInitiation>(2), 0);
+    o.direction.mode = DirectionOptions::Mode::kAlways;
+    o.parallelism = lanes;
+    Engine<BcProgram> e(g, {}, c, parts);
+    const auto r = e.run(o);
+    ASSERT_FALSE(r.failed);
+    EXPECT_EQ(r.roots_completed, roots.size());
+    EXPECT_EQ(r.metrics.pull_supersteps, r.metrics.supersteps.size());
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      ASSERT_NEAR(r.values[v].bc_score, ref[v], 1e-9 * std::max(1.0, std::abs(ref[v])))
+          << "vertex " << v;
+    EXPECT_EQ(digest(r, kBcBits), kBcSwathedPullAlways) << lanes << " lanes";
   }
 }
 
