@@ -114,6 +114,11 @@ class CostModel {
   /// step-token dequeue + barrier-token enqueue + manager processing.
   Seconds barrier_time(std::uint32_t workers) const noexcept;
 
+  /// Modeled time to move `bytes` through the VM's NIC at effective
+  /// bandwidth (bytes / bandwidth; zero when the VM has no bandwidth). The
+  /// one transfer formula every blob download, upload and migration uses.
+  Seconds transfer_time(Bytes bytes, const VmSpec& vm) const noexcept;
+
   /// Modeled wall time to spill `bytes` of message buffers to blob storage
   /// and read them back later: a round trip through the VM's NIC at
   /// effective bandwidth. The memory-pressure governor charges this when it

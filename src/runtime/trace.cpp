@@ -259,4 +259,10 @@ void Span::finish() {
   t.complete(name_, cat_, start_ns_, t.now_ns(), std::move(args_));
 }
 
+void mark(const char* name, const char* cat, double virtual_us, std::string args_json) {
+  Tracer& t = Tracer::instance();
+  t.instant(name, cat, args_json);
+  t.virtual_instant(name, cat, virtual_us, std::move(args_json));
+}
+
 }  // namespace pregel::trace

@@ -169,6 +169,11 @@ class Tracer {
 inline bool spans_on() noexcept { return Tracer::instance().spans_on(); }
 inline bool counters_on() noexcept { return Tracer::instance().counters_on(); }
 
+/// Mark a barrier decision on both timelines: an instant on the calling
+/// thread's host track and one at `virtual_us` on the modeled-cluster
+/// track. Callers build `args_json` only under spans_on().
+void mark(const char* name, const char* cat, double virtual_us, std::string args_json);
+
 /// Add to a counter by name; registry lookup per call, so use on cold or
 /// per-superstep paths. Hot paths cache Tracer::counter() instead.
 inline void add(const std::string& name, std::uint64_t delta) {

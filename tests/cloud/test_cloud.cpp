@@ -125,6 +125,17 @@ TEST(CostModel, NetworkTimeBoundByMaxDirection) {
   EXPECT_NEAR(t, static_cast<double>(35_MiB) / (400e6 * 0.7 / 8.0), 1e-6);
 }
 
+TEST(CostModel, TransferTimeIsBytesOverEffectiveBandwidth) {
+  const CostModel m;
+  VmSpec vm = azure_large_2012();
+  const double bw = 400e6 * 0.7 / 8.0;
+  EXPECT_DOUBLE_EQ(m.transfer_time(35_MiB, vm), static_cast<double>(35_MiB) / bw);
+  EXPECT_DOUBLE_EQ(m.spill_transfer_time(35_MiB, vm), 2.0 * m.transfer_time(35_MiB, vm));
+  EXPECT_EQ(m.transfer_time(0, vm), 0.0);
+  vm.network_bps = 0.0;  // no NIC: nothing transfers, and nothing divides by zero
+  EXPECT_EQ(m.transfer_time(35_MiB, vm), 0.0);
+}
+
 TEST(CostModel, NetworkSetupGrowsWithPeers) {
   const CostModel m;
   const VmSpec vm = azure_large_2012();

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "runtime/metrics.hpp"
 #include "runtime/metrics_io.hpp"
@@ -160,6 +162,67 @@ TEST(MetricsIo, GovernorCsvShape) {
   EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 2);  // header + one row
   EXPECT_NE(s.find("vetoes,swath_clamps,sheds,roots_parked"), std::string::npos);
   EXPECT_NE(s.find("5,4,2,9,3,4096,0.25,1.5,1"), std::string::npos);
+}
+
+/// Field count of one CSV line, honoring quoted fields ("" escapes a quote).
+std::size_t csv_field_count(const std::string& line) {
+  std::size_t fields = 1;
+  bool quoted = false;
+  for (const char c : line) {
+    if (c == '"') quoted = !quoted;
+    if (c == ',' && !quoted) ++fields;
+  }
+  return fields;
+}
+
+/// Every row of a writer's output has exactly as many fields as its header:
+/// the header and row lists are kept in sync by hand, and a field missing
+/// from one of them would silently shift every later column.
+void expect_rows_match_header(const std::string& csv, std::size_t min_rows) {
+  std::istringstream in(csv);
+  std::string header;
+  ASSERT_TRUE(std::getline(in, header));
+  const std::size_t columns = csv_field_count(header);
+  EXPECT_GT(columns, 1u);
+  std::size_t rows = 0;
+  for (std::string line; std::getline(in, line); ++rows)
+    EXPECT_EQ(csv_field_count(line), columns) << "row " << rows << ": " << line;
+  EXPECT_GE(rows, min_rows);
+}
+
+TEST(MetricsIo, EveryCsvRowMatchesItsHeader) {
+  JobMetrics m;
+  m.supersteps = {make_superstep(0), make_superstep(1)};
+  m.recovery_mode = "confined";
+  m.checkpoints_written = 3;
+  m.governor_sheds = 1;
+  m.migrations = 2;
+
+  std::ostringstream worker, superstep, fault, governor, migration, pool_out;
+  write_worker_metrics_csv(m, worker);
+  expect_rows_match_header(worker.str(), 4);
+  write_superstep_metrics_csv(m, superstep);
+  expect_rows_match_header(superstep.str(), 2);
+  write_fault_metrics_csv(m, fault);
+  expect_rows_match_header(fault.str(), 1);
+  write_governor_metrics_csv(m, governor);
+  expect_rows_match_header(governor.str(), 1);
+  write_migration_metrics_csv(m, migration);
+  expect_rows_match_header(migration.str(), 1);
+
+  PoolMetrics pool;
+  pool.policy = "fair-share";
+  JobRow done;
+  done.id = 1;
+  done.name = "pagerank, 8 VMs";  // quoted: its comma is not a separator
+  done.user = "alice";
+  done.state = "done";
+  JobRow rejected = done;
+  rejected.id = 2;
+  rejected.state = "rejected";
+  rejected.missed_deadline = true;
+  write_pool_metrics_csv(pool, {done, rejected}, pool_out);
+  expect_rows_match_header(pool_out.str(), 2);
 }
 
 TEST(MetricsIo, JobSummaryIncludesGovernorFields) {
