@@ -260,6 +260,7 @@ void EngineCore::reset_run_state(const JobOptions& opts) {
   replay_lost_vms_.clear();
   confined_replay_until_ = 0;
   manager_ = cloud::JobManager{};
+  queues_ = cloud::QueueService{};
   location_version_ = 0;
   zones_ = cloud::ZoneMap{std::max<std::uint32_t>(cluster_.availability_zones, 1)};
   // The manifest a standby would resume from if the primary died before

@@ -211,6 +211,13 @@ struct JobMetrics {
   double utilization() const noexcept;
 };
 
+/// The bit-identity contract in one call: "" when both records have the same
+/// superstep and worker shapes and every modeled field (runtime/metric_fields.hpp)
+/// is equal, doubles by bit pattern. Otherwise the first differing path with
+/// both values, e.g. "supersteps[3].workers[1].network_seconds: 0.25 vs
+/// 0.25000000000000006". Host-only fields (work steals) are not compared.
+std::string first_modeled_difference(const JobMetrics& a, const JobMetrics& b);
+
 // ---------------------------------------------------------------------------
 // Multi-job serving (src/sched/): per-job and pool-level rollups.
 

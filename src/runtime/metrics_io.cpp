@@ -1,254 +1,112 @@
 #include "runtime/metrics_io.hpp"
 
+#include <string_view>
+#include <variant>
+#include <vector>
+
+#include "runtime/metric_fields.hpp"
 #include "util/csv.hpp"
 
 namespace pregel {
+namespace {
+
+void put(CsvWriter& w, const MetricValue& v) {
+  std::visit([&w](const auto& x) { w.field(x); }, v);
+}
+
+/// Header row: the parent record's key column (if any), then the table's
+/// rows in `group`, in table order.
+template <class R, std::size_t N>
+void header(CsvWriter& w, const MetricField<R> (&table)[N], CsvGroup group,
+            std::string_view key = {}) {
+  std::vector<std::string_view> names;
+  if (!key.empty()) names.push_back(key);
+  for (const auto& f : table)
+    if (f.group == group) names.push_back(f.name);
+  w.header(names);
+}
+
+/// The rest of a data row: the table's rows in `group`, read from record `r`
+/// at position `index` in its parent list.
+template <class R, std::size_t N>
+void row(CsvWriter& w, const MetricField<R> (&table)[N], CsvGroup group, const R& r,
+         std::size_t index = 0) {
+  for (const auto& f : table)
+    if (f.group == group) put(w, f.read(r, index));
+  w.end_row();
+}
+
+/// One-row rollup CSV of the JobMetrics fields in `group`.
+void write_group_csv(const JobMetrics& metrics, CsvGroup group, std::ostream& out) {
+  CsvWriter w(out);
+  header(w, kJobFields, group);
+  row(w, kJobFields, group, metrics);
+}
+
+/// One line of space-separated key=value pairs, every row of the table.
+template <class R, std::size_t N>
+void write_summary(const MetricField<R> (&table)[N], const R& r, std::ostream& out) {
+  std::string_view sep;
+  for (const auto& f : table) {
+    out << sep << f.name << '=';
+    std::visit([&out](const auto& x) { out << x; }, f.read(r));
+    sep = " ";
+  }
+  out << '\n';
+}
+
+// Key columns that tie a child row to its parent record.
+const auto& kStepKey = kSuperstepFields[0];  // superstep
+const auto& kPoolKey = kPoolFields[0];       // policy
+constexpr auto kAll = CsvGroup::none;        // every row of a per-record table
+
+}  // namespace
 
 void write_worker_metrics_csv(const JobMetrics& metrics, std::ostream& out) {
   CsvWriter w(out);
-  w.header({"superstep", "worker", "vertices_computed", "messages_processed",
-            "messages_sent_local", "messages_sent_remote", "bytes_sent_remote",
-            "bytes_received_remote", "subgraph_ops", "memory_peak_bytes",
-            "compute_seconds", "network_seconds", "barrier_wait_seconds",
-            "spilled_bytes"});
+  header(w, kWorkerFields, kAll, kStepKey.name);
   for (const auto& sm : metrics.supersteps) {
     for (std::size_t i = 0; i < sm.workers.size(); ++i) {
-      const auto& wm = sm.workers[i];
-      w.field(sm.superstep)
-          .field(static_cast<std::uint64_t>(i))
-          .field(wm.vertices_computed)
-          .field(wm.messages_processed)
-          .field(wm.messages_sent_local)
-          .field(wm.messages_sent_remote)
-          .field(wm.bytes_sent_remote)
-          .field(wm.bytes_received_remote)
-          .field(wm.subgraph_ops)
-          .field(wm.memory_peak)
-          .field(wm.compute_time)
-          .field(wm.network_time)
-          .field(wm.barrier_wait)
-          .field(wm.spilled_bytes)
-          .end_row();
+      put(w, kStepKey.read(sm));
+      row(w, kWorkerFields, kAll, sm.workers[i], i);
     }
   }
 }
 
 void write_superstep_metrics_csv(const JobMetrics& metrics, std::ostream& out) {
   CsvWriter w(out);
-  w.header({"superstep", "workers", "active_vertices", "active_roots", "messages",
-            "remote_messages", "span_seconds", "barrier_seconds", "max_worker_memory",
-            "utilization", "pull_mode", "steals", "stolen_chunks"});
-  for (const auto& sm : metrics.supersteps) {
-    w.field(sm.superstep)
-        .field(static_cast<std::uint64_t>(sm.active_workers))
-        .field(sm.active_vertices)
-        .field(sm.active_roots)
-        .field(sm.messages_sent_total())
-        .field(sm.messages_sent_remote())
-        .field(sm.span)
-        .field(sm.barrier_overhead)
-        .field(sm.max_worker_memory())
-        .field(sm.utilization())
-        .field(static_cast<std::uint64_t>(sm.pull_mode ? 1 : 0))
-        .field(sm.steals)
-        .field(sm.stolen_chunks)
-        .end_row();
-  }
+  header(w, kSuperstepFields, kAll);
+  for (const auto& sm : metrics.supersteps) row(w, kSuperstepFields, kAll, sm);
 }
 
 void write_fault_metrics_csv(const JobMetrics& metrics, std::ostream& out) {
-  CsvWriter w(out);
-  w.header({"recovery_mode", "checkpoints", "checkpoint_failures", "failures",
-            "replayed_supersteps", "recovery_s", "confined_replay_s", "faults_injected",
-            "faults_masked", "retries_attempted", "retry_latency_s",
-            "straggler_reexecutions", "blob_corruptions", "queue_corruptions",
-            "manager_failovers", "manager_failover_s", "barrier_duplicates",
-            "barrier_fenced", "barrier_detection_timeouts", "zone_outages",
-            "checkpoint_replicas", "checkpoint_replica_failures", "checkpoint_bases",
-            "checkpoint_deltas", "checkpoint_base_bytes", "checkpoint_delta_bytes",
-            "checkpoint_torn_manifests", "checkpoint_torn_legs", "checkpoint_fallbacks",
-            "checkpoint_fallback_depth_max", "checkpoint_corrupt_legs",
-            "checkpoint_corrupt_manifests", "checkpoint_replica_reads", "scrub_passes",
-            "scrub_copies_verified", "scrub_repairs", "scrub_time_s",
-            "ckpt_gc_generations", "ckpt_gc_delete_ops"});
-  w.field(metrics.recovery_mode)
-      .field(static_cast<std::uint64_t>(metrics.checkpoints_written))
-      .field(static_cast<std::uint64_t>(metrics.checkpoint_failures))
-      .field(static_cast<std::uint64_t>(metrics.worker_failures))
-      .field(metrics.replayed_supersteps)
-      .field(metrics.recovery_time)
-      .field(metrics.confined_replay_time)
-      .field(metrics.faults_injected)
-      .field(metrics.faults_masked)
-      .field(metrics.retries_attempted)
-      .field(metrics.retry_latency)
-      .field(static_cast<std::uint64_t>(metrics.straggler_reexecutions))
-      .field(metrics.blob_corruptions)
-      .field(metrics.queue_corruptions)
-      .field(static_cast<std::uint64_t>(metrics.manager_failovers))
-      .field(metrics.manager_failover_time)
-      .field(metrics.barrier_duplicates)
-      .field(metrics.barrier_fenced)
-      .field(static_cast<std::uint64_t>(metrics.barrier_detection_timeouts))
-      .field(static_cast<std::uint64_t>(metrics.zone_outages))
-      .field(static_cast<std::uint64_t>(metrics.checkpoint_replicas_written))
-      .field(static_cast<std::uint64_t>(metrics.checkpoint_replica_failures))
-      .field(static_cast<std::uint64_t>(metrics.checkpoint_bases))
-      .field(static_cast<std::uint64_t>(metrics.checkpoint_deltas))
-      .field(metrics.checkpoint_base_bytes)
-      .field(metrics.checkpoint_delta_bytes)
-      .field(static_cast<std::uint64_t>(metrics.checkpoint_torn_manifests))
-      .field(static_cast<std::uint64_t>(metrics.checkpoint_torn_legs))
-      .field(static_cast<std::uint64_t>(metrics.checkpoint_fallbacks))
-      .field(static_cast<std::uint64_t>(metrics.checkpoint_fallback_depth_max))
-      .field(static_cast<std::uint64_t>(metrics.checkpoint_corrupt_legs))
-      .field(static_cast<std::uint64_t>(metrics.checkpoint_corrupt_manifests))
-      .field(static_cast<std::uint64_t>(metrics.checkpoint_replica_reads))
-      .field(static_cast<std::uint64_t>(metrics.scrub_passes))
-      .field(metrics.scrub_copies_verified)
-      .field(static_cast<std::uint64_t>(metrics.scrub_repairs))
-      .field(metrics.scrub_time)
-      .field(static_cast<std::uint64_t>(metrics.ckpt_gc_generations))
-      .field(metrics.ckpt_gc_delete_ops)
-      .end_row();
+  write_group_csv(metrics, CsvGroup::fault, out);
 }
 
 void write_governor_metrics_csv(const JobMetrics& metrics, std::ostream& out) {
-  CsvWriter w(out);
-  w.header({"vetoes", "swath_clamps", "sheds", "roots_parked", "spills", "spill_bytes",
-            "spill_time_s", "shed_time_s", "governed_oom_episodes", "scale_outs"});
-  w.field(static_cast<std::uint64_t>(metrics.governor_vetoes))
-      .field(static_cast<std::uint64_t>(metrics.governor_swath_clamps))
-      .field(static_cast<std::uint64_t>(metrics.governor_sheds))
-      .field(metrics.governor_roots_parked)
-      .field(static_cast<std::uint64_t>(metrics.governor_spills))
-      .field(metrics.governor_spill_bytes)
-      .field(metrics.governor_spill_time)
-      .field(metrics.governor_shed_time)
-      .field(static_cast<std::uint64_t>(metrics.governed_oom_episodes))
-      .field(static_cast<std::uint64_t>(metrics.governor_scale_outs))
-      .end_row();
+  write_group_csv(metrics, CsvGroup::governor, out);
 }
 
 void write_migration_metrics_csv(const JobMetrics& metrics, std::ostream& out) {
-  CsvWriter w(out);
-  w.header({"migrations", "migrated_vertices", "migrated_bytes", "migration_time_s",
-            "rebalance_gain", "scale_ins"});
-  w.field(static_cast<std::uint64_t>(metrics.migrations))
-      .field(metrics.migrated_vertices)
-      .field(metrics.migrated_bytes)
-      .field(metrics.migration_time)
-      .field(metrics.rebalance_gain)
-      .field(static_cast<std::uint64_t>(metrics.scale_ins))
-      .end_row();
+  write_group_csv(metrics, CsvGroup::migration, out);
+}
+
+void write_job_summary(const JobMetrics& metrics, std::ostream& out) {
+  write_summary(kJobFields, metrics, out);
 }
 
 void write_pool_metrics_csv(const PoolMetrics& pool, const std::vector<JobRow>& jobs,
                             std::ostream& out) {
   CsvWriter w(out);
-  w.header({"policy", "job", "name", "user", "state", "arrival_s", "admitted_s",
-            "completed_s", "wait_s", "run_s", "cost_usd", "workers_peak",
-            "workers_final", "preemptions", "scale_ins", "supersteps",
-            "deadline_s", "missed_deadline"});
+  header(w, kJobRowFields, kAll, kPoolKey.name);
   for (const auto& j : jobs) {
-    w.field(pool.policy)
-        .field(j.id)
-        .field(j.name)
-        .field(j.user)
-        .field(j.state)
-        .field(j.arrival)
-        .field(j.admitted)
-        .field(j.completed)
-        .field(j.wait_time)
-        .field(j.run_time)
-        .field(j.cost_usd)
-        .field(static_cast<std::uint64_t>(j.workers_peak))
-        .field(static_cast<std::uint64_t>(j.workers_final))
-        .field(static_cast<std::uint64_t>(j.preemptions))
-        .field(static_cast<std::uint64_t>(j.scale_ins))
-        .field(j.supersteps)
-        .field(j.deadline)
-        .field(static_cast<std::uint64_t>(j.missed_deadline ? 1 : 0))
-        .end_row();
+    put(w, kPoolKey.read(pool));
+    row(w, kJobRowFields, kAll, j);
   }
 }
 
 void write_pool_summary(const PoolMetrics& pool, std::ostream& out) {
-  out << "policy=" << pool.policy
-      << " pool_vms=" << pool.pool_vms
-      << " submitted=" << pool.jobs_submitted
-      << " completed=" << pool.jobs_completed
-      << " failed=" << pool.jobs_failed
-      << " rejected=" << pool.jobs_rejected
-      << " deadline_misses=" << pool.deadline_misses
-      << " preemptions=" << pool.preemptions
-      << " resumes=" << pool.resumes
-      << " scale_ins=" << pool.scale_ins
-      << " makespan_s=" << pool.makespan
-      << " total_wait_s=" << pool.total_wait
-      << " total_cost_usd=" << pool.total_cost_usd
-      << " vm_seconds=" << pool.vm_seconds
-      << " preemption_overhead_s=" << pool.preemption_overhead
-      << " jobs_per_hour_per_usd=" << pool.jobs_per_hour_per_usd
-      << " pool_utilization=" << pool.pool_utilization << "\n";
-}
-
-void write_job_summary(const JobMetrics& metrics, std::ostream& out) {
-  out << "supersteps=" << metrics.total_supersteps()
-      << " messages=" << metrics.total_messages()
-      << " total_time_s=" << metrics.total_time
-      << " setup_time_s=" << metrics.setup_time
-      << " cost_usd=" << metrics.cost_usd
-      << " vm_seconds=" << metrics.vm_seconds
-      << " peak_worker_memory=" << metrics.peak_worker_memory()
-      << " utilization=" << metrics.utilization()
-      << " checkpoints=" << metrics.checkpoints_written
-      << " failures=" << metrics.worker_failures
-      << " replayed_supersteps=" << metrics.replayed_supersteps
-      << " recovery_mode=" << metrics.recovery_mode
-      << " confined_replay_time_s=" << metrics.confined_replay_time
-      << " faults_injected=" << metrics.faults_injected
-      << " faults_masked=" << metrics.faults_masked
-      << " retries_attempted=" << metrics.retries_attempted
-      << " retry_latency_s=" << metrics.retry_latency
-      << " straggler_reexecutions=" << metrics.straggler_reexecutions
-      << " control_queue_ops=" << metrics.control_queue_ops
-      << " blob_corruptions=" << metrics.blob_corruptions
-      << " governor_vetoes=" << metrics.governor_vetoes
-      << " governor_swath_clamps=" << metrics.governor_swath_clamps
-      << " governor_sheds=" << metrics.governor_sheds
-      << " governor_roots_parked=" << metrics.governor_roots_parked
-      << " governor_spills=" << metrics.governor_spills
-      << " governor_spill_bytes=" << metrics.governor_spill_bytes
-      << " governed_oom_episodes=" << metrics.governed_oom_episodes
-      << " queue_corruptions=" << metrics.queue_corruptions
-      << " manager_failovers=" << metrics.manager_failovers
-      << " manager_failover_time_s=" << metrics.manager_failover_time
-      << " barrier_duplicates=" << metrics.barrier_duplicates
-      << " barrier_fenced=" << metrics.barrier_fenced
-      << " barrier_detection_timeouts=" << metrics.barrier_detection_timeouts
-      << " zone_outages=" << metrics.zone_outages
-      << " checkpoint_replicas=" << metrics.checkpoint_replicas_written
-      << " checkpoint_replica_failures=" << metrics.checkpoint_replica_failures
-      << " checkpoint_bases=" << metrics.checkpoint_bases
-      << " checkpoint_deltas=" << metrics.checkpoint_deltas
-      << " checkpoint_base_bytes=" << metrics.checkpoint_base_bytes
-      << " checkpoint_delta_bytes=" << metrics.checkpoint_delta_bytes
-      << " checkpoint_fallbacks=" << metrics.checkpoint_fallbacks
-      << " checkpoint_fallback_depth_max=" << metrics.checkpoint_fallback_depth_max
-      << " scrub_repairs=" << metrics.scrub_repairs
-      << " ckpt_gc_delete_ops=" << metrics.ckpt_gc_delete_ops
-      << " migrations=" << metrics.migrations
-      << " migrated_vertices=" << metrics.migrated_vertices
-      << " migrated_bytes=" << metrics.migrated_bytes
-      << " migration_time_s=" << metrics.migration_time
-      << " rebalance_gain=" << metrics.rebalance_gain
-      << " governor_scale_outs=" << metrics.governor_scale_outs
-      << " scale_ins=" << metrics.scale_ins
-      << " work_steals=" << metrics.work_steals
-      << " stolen_chunks=" << metrics.stolen_chunks
-      << " pull_supersteps=" << metrics.pull_supersteps
-      << " direction_switches=" << metrics.direction_switches << "\n";
+  write_summary(kPoolFields, pool, out);
 }
 
 }  // namespace pregel

@@ -9,42 +9,32 @@
 
 namespace pregel {
 
-/// Per-superstep, per-worker long-format CSV:
-/// superstep,worker,vertices,msgs_processed,msgs_local,msgs_remote,
-/// bytes_sent,bytes_recv,memory_peak,compute_s,network_s,wait_s,spilled_bytes
+// Column names, order and CSV groups come from the field tables in
+// runtime/metric_fields.hpp; docs/OBSERVABILITY.md "Metric fields".
+
+/// Per-superstep, per-worker long-format CSV: superstep, then kWorkerFields.
 void write_worker_metrics_csv(const JobMetrics& metrics, std::ostream& out);
 
-/// Per-superstep rollup CSV:
-/// superstep,workers,active_vertices,active_roots,messages,remote_messages,
-/// span_s,barrier_s,max_memory,utilization
+/// Per-superstep rollup CSV: kSuperstepFields.
 void write_superstep_metrics_csv(const JobMetrics& metrics, std::ostream& out);
 
-/// One-row fault-tolerance rollup CSV:
-/// recovery_mode,checkpoints,checkpoint_failures,failures,replayed_supersteps,
-/// recovery_s,confined_replay_s,faults_injected,faults_masked,
-/// retries_attempted,retry_latency_s,straggler_reexecutions,blob_corruptions,
-/// queue_corruptions
+/// One-row rollup CSVs: the kJobFields rows in the fault, governor or
+/// migration group.
 void write_fault_metrics_csv(const JobMetrics& metrics, std::ostream& out);
-
-/// One-row memory-governor rollup CSV:
-/// vetoes,swath_clamps,sheds,roots_parked,spills,spill_bytes,spill_time_s,
-/// shed_time_s,governed_oom_episodes,scale_outs
 void write_governor_metrics_csv(const JobMetrics& metrics, std::ostream& out);
-
-/// One-row vertex-migration rollup CSV:
-/// migrations,migrated_vertices,migrated_bytes,migration_time_s,rebalance_gain
 void write_migration_metrics_csv(const JobMetrics& metrics, std::ostream& out);
 
-/// One-line key=value job summary (human- and grep-friendly).
+/// One-line key=value job summary of every kJobFields row (human- and
+/// grep-friendly).
 void write_job_summary(const JobMetrics& metrics, std::ostream& out);
 
 /// Per-job scheduling rows of one pool run (multi-job serving; src/sched/):
-/// policy,job,name,user,state,arrival_s,admitted_s,completed_s,wait_s,run_s,
-/// cost_usd,workers_peak,workers_final,preemptions,scale_ins,supersteps
+/// policy, then kJobRowFields.
 void write_pool_metrics_csv(const PoolMetrics& pool, const std::vector<JobRow>& jobs,
                             std::ostream& out);
 
-/// One-line key=value pool summary, jobs_per_hour_per_usd included.
+/// One-line key=value pool summary of every kPoolFields row,
+/// jobs_per_hour_per_usd included.
 void write_pool_summary(const PoolMetrics& pool, std::ostream& out);
 
 }  // namespace pregel

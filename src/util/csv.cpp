@@ -6,7 +6,7 @@
 
 namespace pregel {
 
-CsvWriter& CsvWriter::header(std::initializer_list<std::string_view> cols) {
+CsvWriter& CsvWriter::header(const std::vector<std::string_view>& cols) {
   bool first = true;
   for (auto c : cols) {
     if (!first) *out_ << ',';

@@ -17,7 +17,10 @@ class CsvWriter {
   /// Writes to an externally owned stream; the stream must outlive the writer.
   explicit CsvWriter(std::ostream& out) : out_(&out) {}
 
-  CsvWriter& header(std::initializer_list<std::string_view> cols);
+  CsvWriter& header(std::initializer_list<std::string_view> cols) {
+    return header(std::vector<std::string_view>(cols));
+  }
+  CsvWriter& header(const std::vector<std::string_view>& cols);
 
   /// Begin a row; then chain field() calls; end_row() finishes the line.
   CsvWriter& field(std::string_view v);

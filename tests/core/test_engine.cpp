@@ -140,9 +140,7 @@ TEST(Engine, DeterministicAcrossRuns) {
   Engine<FloodProgram> e2(g, {3}, small_cluster(4), parts);
   const auto r1 = e1.run(opts);
   const auto r2 = e2.run(opts);
-  ASSERT_EQ(r1.metrics.supersteps.size(), r2.metrics.supersteps.size());
-  EXPECT_DOUBLE_EQ(r1.metrics.total_time, r2.metrics.total_time);
-  EXPECT_EQ(r1.metrics.total_messages(), r2.metrics.total_messages());
+  EXPECT_EQ(first_modeled_difference(r1.metrics, r2.metrics), "");
 }
 
 // Aggregate/global round trip: vertices sum their degrees; the master
@@ -371,7 +369,7 @@ TEST(Engine, TenancyNoiseSlowsButStaysDeterministic) {
   const auto rn1 = noisy_e1.run(opts);
   const auto rn2 = noisy_e2.run(opts);
   EXPECT_GT(rn1.metrics.total_time, rq.metrics.total_time);
-  EXPECT_DOUBLE_EQ(rn1.metrics.total_time, rn2.metrics.total_time);
+  EXPECT_EQ(first_modeled_difference(rn1.metrics, rn2.metrics), "");
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "partition/partitioner.hpp"
-#include "util/thread_pool.hpp"
+#include "support/determinism.hpp"
 
 namespace pregel {
 namespace {
@@ -23,56 +23,6 @@ using algos::BcProgram;
 using algos::ComponentsProgram;
 using algos::PageRankProgram;
 using algos::SsspProgram;
-
-// Exact equality of the full metric record. Doubles are compared with ==
-// deliberately: the contract is bit-identical replay of the serial
-// floating-point evaluation order, not approximate agreement.
-void expect_identical_metrics(const JobMetrics& a, const JobMetrics& b) {
-  EXPECT_EQ(a.total_time, b.total_time);
-  EXPECT_EQ(a.setup_time, b.setup_time);
-  EXPECT_EQ(a.cost_usd, b.cost_usd);
-  ASSERT_EQ(a.supersteps.size(), b.supersteps.size());
-  for (std::size_t s = 0; s < a.supersteps.size(); ++s) {
-    const SuperstepMetrics& x = a.supersteps[s];
-    const SuperstepMetrics& y = b.supersteps[s];
-    EXPECT_EQ(x.superstep, y.superstep);
-    EXPECT_EQ(x.active_vertices, y.active_vertices) << "superstep " << s;
-    EXPECT_EQ(x.active_roots, y.active_roots) << "superstep " << s;
-    EXPECT_EQ(x.span, y.span) << "superstep " << s;
-    EXPECT_EQ(x.barrier_overhead, y.barrier_overhead) << "superstep " << s;
-    ASSERT_EQ(x.workers.size(), y.workers.size()) << "superstep " << s;
-    for (std::size_t w = 0; w < x.workers.size(); ++w) {
-      const WorkerStepMetrics& u = x.workers[w];
-      const WorkerStepMetrics& v = y.workers[w];
-      EXPECT_EQ(u.vertices_computed, v.vertices_computed) << s << "/" << w;
-      EXPECT_EQ(u.messages_processed, v.messages_processed) << s << "/" << w;
-      EXPECT_EQ(u.messages_sent_local, v.messages_sent_local) << s << "/" << w;
-      EXPECT_EQ(u.messages_sent_remote, v.messages_sent_remote) << s << "/" << w;
-      EXPECT_EQ(u.bytes_sent_remote, v.bytes_sent_remote) << s << "/" << w;
-      EXPECT_EQ(u.bytes_received_remote, v.bytes_received_remote) << s << "/" << w;
-      EXPECT_EQ(u.memory_peak, v.memory_peak) << s << "/" << w;
-      EXPECT_EQ(u.compute_time, v.compute_time) << s << "/" << w;
-      EXPECT_EQ(u.network_time, v.network_time) << s << "/" << w;
-    }
-  }
-}
-
-ClusterConfig eight_partitions_four_vms() {
-  ClusterConfig c;
-  c.num_partitions = 8;
-  c.initial_workers = 4;  // two partitions per VM: local AND remote traffic
-  return c;
-}
-
-// Thread counts to sweep: one lane, two, four, and whatever the host offers
-// (deduplicated; on a single-core builder "hardware" is one lane and the
-// explicit 2/4 still drive the pool and the staged merge).
-std::vector<std::uint32_t> lane_sweep() {
-  std::vector<std::uint32_t> lanes{1, 2, 4};
-  const unsigned hw = ThreadPool::hardware_threads();
-  if (hw > 1 && hw != 2 && hw != 4) lanes.push_back(hw);
-  return lanes;
-}
 
 TEST(ParallelDeterminism, PageRankBitIdenticalAcrossLaneCounts) {
   const Graph g = barabasi_albert(600, 3, 41);
@@ -95,7 +45,7 @@ TEST(ParallelDeterminism, PageRankBitIdenticalAcrossLaneCounts) {
     for (std::size_t v = 0; v < r.values.size(); ++v)
       EXPECT_EQ(r.values[v].rank, base.values[v].rank) << "vertex " << v << ", "
                                                        << lanes << " lanes";
-    expect_identical_metrics(r.metrics, base.metrics);
+    EXPECT_EQ(first_modeled_difference(r.metrics, base.metrics), "") << lanes << " lanes";
   }
 }
 
@@ -119,7 +69,7 @@ TEST(ParallelDeterminism, PageRankAggregatePathWithCombiner) {
   const auto r = par.run(o);
   for (std::size_t v = 0; v < r.values.size(); ++v)
     EXPECT_EQ(r.values[v].rank, base.values[v].rank);
-  expect_identical_metrics(r.metrics, base.metrics);
+  EXPECT_EQ(first_modeled_difference(r.metrics, base.metrics), "");
 }
 
 TEST(ParallelDeterminism, ComponentsBitIdenticalWithAndWithoutCombiner) {
@@ -142,7 +92,7 @@ TEST(ParallelDeterminism, ComponentsBitIdenticalWithAndWithoutCombiner) {
       for (std::size_t v = 0; v < r.values.size(); ++v)
         EXPECT_EQ(r.values[v].label, base.values[v].label)
             << "vertex " << v << ", " << lanes << " lanes, combiner " << combine;
-      expect_identical_metrics(r.metrics, base.metrics);
+      EXPECT_EQ(first_modeled_difference(r.metrics, base.metrics), "") << lanes << " lanes";
     }
   }
 }
@@ -176,7 +126,7 @@ TEST(ParallelDeterminism, BcSwathedBitIdenticalAcrossLaneCounts) {
     for (std::size_t v = 0; v < r.values.size(); ++v)
       EXPECT_EQ(r.values[v].bc_score, base.values[v].bc_score)
           << "vertex " << v << ", " << lanes << " lanes";
-    expect_identical_metrics(r.metrics, base.metrics);
+    EXPECT_EQ(first_modeled_difference(r.metrics, base.metrics), "") << lanes << " lanes";
   }
 }
 
@@ -198,7 +148,7 @@ TEST(ParallelDeterminism, DefaultParallelismMatchesSerial) {
   const auto r = def.run(o);
   for (std::size_t v = 0; v < r.values.size(); ++v)
     EXPECT_EQ(r.values[v].label, base.values[v].label);
-  expect_identical_metrics(r.metrics, base.metrics);
+  EXPECT_EQ(first_modeled_difference(r.metrics, base.metrics), "");
 }
 
 // Combiner equivalence: combining is a transport optimization, so final
@@ -236,7 +186,7 @@ TEST(CombinerEquivalence, ParallelCombinedMatchesSerialCombined) {
     for (std::size_t v = 0; v < r.values.size(); ++v)
       EXPECT_EQ(r.values[v].distance, base.values[v].distance)
           << "vertex " << v << ", " << lanes << " lanes";
-    expect_identical_metrics(r.metrics, base.metrics);
+    EXPECT_EQ(first_modeled_difference(r.metrics, base.metrics), "") << lanes << " lanes";
   }
 }
 

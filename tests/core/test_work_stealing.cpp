@@ -15,7 +15,7 @@
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "partition/partitioner.hpp"
-#include "util/thread_pool.hpp"
+#include "support/determinism.hpp"
 
 namespace pregel {
 namespace {
@@ -33,54 +33,6 @@ Partitioning skewed_partitioning(VertexId n, PartitionId parts) {
   for (VertexId v = tail_start; v < n; ++v)
     assign[v] = static_cast<PartitionId>(1 + (v - tail_start) % (parts - 1));
   return {std::move(assign), parts};
-}
-
-ClusterConfig eight_partitions_four_vms() {
-  ClusterConfig c;
-  c.num_partitions = 8;
-  c.initial_workers = 4;
-  return c;
-}
-
-std::vector<std::uint32_t> lane_sweep() {
-  std::vector<std::uint32_t> lanes{1, 2, 4};
-  const unsigned hw = ThreadPool::hardware_threads();
-  if (hw > 1 && hw != 2 && hw != 4) lanes.push_back(hw);
-  return lanes;
-}
-
-// Full metric record, bit-for-bit, EXCLUDING steal counters (which depend on
-// the wall-clock race between lanes) but INCLUDING pull-mode decisions (which
-// are modeled and must replay).
-void expect_identical_modeled_metrics(const JobMetrics& a, const JobMetrics& b) {
-  EXPECT_EQ(a.total_time, b.total_time);
-  EXPECT_EQ(a.setup_time, b.setup_time);
-  EXPECT_EQ(a.cost_usd, b.cost_usd);
-  EXPECT_EQ(a.pull_supersteps, b.pull_supersteps);
-  EXPECT_EQ(a.direction_switches, b.direction_switches);
-  ASSERT_EQ(a.supersteps.size(), b.supersteps.size());
-  for (std::size_t s = 0; s < a.supersteps.size(); ++s) {
-    const SuperstepMetrics& x = a.supersteps[s];
-    const SuperstepMetrics& y = b.supersteps[s];
-    EXPECT_EQ(x.active_vertices, y.active_vertices) << "superstep " << s;
-    EXPECT_EQ(x.active_roots, y.active_roots) << "superstep " << s;
-    EXPECT_EQ(x.span, y.span) << "superstep " << s;
-    EXPECT_EQ(x.barrier_overhead, y.barrier_overhead) << "superstep " << s;
-    EXPECT_EQ(x.pull_mode, y.pull_mode) << "superstep " << s;
-    ASSERT_EQ(x.workers.size(), y.workers.size()) << "superstep " << s;
-    for (std::size_t w = 0; w < x.workers.size(); ++w) {
-      const WorkerStepMetrics& u = x.workers[w];
-      const WorkerStepMetrics& v = y.workers[w];
-      EXPECT_EQ(u.vertices_computed, v.vertices_computed) << s << "/" << w;
-      EXPECT_EQ(u.messages_processed, v.messages_processed) << s << "/" << w;
-      EXPECT_EQ(u.messages_sent_local, v.messages_sent_local) << s << "/" << w;
-      EXPECT_EQ(u.messages_sent_remote, v.messages_sent_remote) << s << "/" << w;
-      EXPECT_EQ(u.bytes_sent_remote, v.bytes_sent_remote) << s << "/" << w;
-      EXPECT_EQ(u.memory_peak, v.memory_peak) << s << "/" << w;
-      EXPECT_EQ(u.compute_time, v.compute_time) << s << "/" << w;
-      EXPECT_EQ(u.network_time, v.network_time) << s << "/" << w;
-    }
-  }
 }
 
 TEST(WorkStealing, SkewedFrontierSsspBitIdenticalAcrossLanes) {
@@ -105,7 +57,7 @@ TEST(WorkStealing, SkewedFrontierSsspBitIdenticalAcrossLanes) {
     for (std::size_t v = 0; v < r.values.size(); ++v)
       EXPECT_EQ(r.values[v].distance, base.values[v].distance)
           << "vertex " << v << ", " << lanes << " lanes";
-    expect_identical_modeled_metrics(r.metrics, base.metrics);
+    EXPECT_EQ(first_modeled_difference(r.metrics, base.metrics), "") << lanes << " lanes";
   }
 }
 
@@ -139,7 +91,7 @@ TEST(WorkStealing, SkewedFrontierBcBitIdenticalAcrossLanes) {
     for (std::size_t v = 0; v < r.values.size(); ++v)
       EXPECT_EQ(r.values[v].bc_score, base.values[v].bc_score)
           << "vertex " << v << ", " << lanes << " lanes";
-    expect_identical_modeled_metrics(r.metrics, base.metrics);
+    EXPECT_EQ(first_modeled_difference(r.metrics, base.metrics), "") << lanes << " lanes";
   }
 }
 
@@ -228,7 +180,7 @@ TEST(DirectionOptimization, AutoHeuristicReplaysAcrossLanes) {
     for (std::size_t v = 0; v < r.values.size(); ++v)
       EXPECT_EQ(r.values[v].label, base.values[v].label)
           << "vertex " << v << ", " << lanes << " lanes";
-    expect_identical_modeled_metrics(r.metrics, base.metrics);
+    EXPECT_EQ(first_modeled_difference(r.metrics, base.metrics), "") << lanes << " lanes";
   }
 }
 
@@ -251,7 +203,7 @@ TEST(WorkStealing, RerunOnSameEngineIsBitIdentical) {
   ASSERT_FALSE(second.failed);
   for (std::size_t v = 0; v < first.values.size(); ++v)
     EXPECT_EQ(first.values[v].distance, second.values[v].distance) << "vertex " << v;
-  expect_identical_modeled_metrics(first.metrics, second.metrics);
+  EXPECT_EQ(first_modeled_difference(first.metrics, second.metrics), "");
 }
 
 // One engine reused across runs that change the lane count, the direction
@@ -292,7 +244,7 @@ TEST(WorkStealing, ReusedEngineMatchesFreshAcrossShapes) {
     for (std::size_t v = 0; v < fresh.values.size(); ++v)
       EXPECT_EQ(again.values[v].distance, fresh.values[v].distance)
           << "vertex " << v << ", " << s.lanes << " lanes";
-    expect_identical_modeled_metrics(again.metrics, fresh.metrics);
+    EXPECT_EQ(first_modeled_difference(again.metrics, fresh.metrics), "") << s.lanes << " lanes";
   }
 }
 

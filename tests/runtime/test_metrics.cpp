@@ -1,10 +1,16 @@
-// Metrics record arithmetic and CSV export.
+// Metrics record arithmetic, the field tables, and CSV export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "runtime/metric_fields.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/metrics_io.hpp"
 
@@ -115,7 +121,7 @@ TEST(MetricsIo, JobSummaryKeyValues) {
   EXPECT_NE(s.find("total_time_s=12.5"), std::string::npos);
   EXPECT_NE(s.find("failures=2"), std::string::npos);
   EXPECT_NE(s.find("recovery_mode=confined"), std::string::npos);
-  EXPECT_NE(s.find("confined_replay_time_s=1.25"), std::string::npos);
+  EXPECT_NE(s.find("confined_replay_s=1.25"), std::string::npos);
   EXPECT_NE(s.find("faults_injected=7"), std::string::npos);
   EXPECT_NE(s.find("faults_masked=6"), std::string::npos);
   EXPECT_NE(s.find("retries_attempted=9"), std::string::npos);
@@ -136,6 +142,7 @@ TEST(MetricsIo, FaultCsvShape) {
   m.retries_attempted = 13;
   m.straggler_reexecutions = 2;
   m.blob_corruptions = 3;
+  m.checkpoint_time = 0.75;
   std::ostringstream out;
   write_fault_metrics_csv(m, out);
   const std::string s = out.str();
@@ -143,6 +150,8 @@ TEST(MetricsIo, FaultCsvShape) {
   EXPECT_NE(s.find("recovery_mode,checkpoints,checkpoint_failures"), std::string::npos);
   EXPECT_NE(s.find("blob_corruptions"), std::string::npos);
   EXPECT_NE(s.find("full-rollback,4,1,2,6,3.5,0,11,11,13,0,2,3"), std::string::npos);
+  EXPECT_NE(s.find(",ckpt_gc_delete_ops,checkpoint_time_s\n"), std::string::npos);
+  EXPECT_NE(s.find(",0.75\n"), std::string::npos);
 }
 
 TEST(MetricsIo, GovernorCsvShape) {
@@ -160,7 +169,8 @@ TEST(MetricsIo, GovernorCsvShape) {
   write_governor_metrics_csv(m, out);
   const std::string s = out.str();
   EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 2);  // header + one row
-  EXPECT_NE(s.find("vetoes,swath_clamps,sheds,roots_parked"), std::string::npos);
+  EXPECT_NE(s.find("governor_vetoes,governor_swath_clamps,governor_sheds,governor_roots_parked"),
+            std::string::npos);
   EXPECT_NE(s.find("5,4,2,9,3,4096,0.25,1.5,1"), std::string::npos);
 }
 
@@ -176,8 +186,7 @@ std::size_t csv_field_count(const std::string& line) {
 }
 
 /// Every row of a writer's output has exactly as many fields as its header:
-/// the header and row lists are kept in sync by hand, and a field missing
-/// from one of them would silently shift every later column.
+/// a column missing from either would silently shift every later column.
 void expect_rows_match_header(const std::string& csv, std::size_t min_rows) {
   std::istringstream in(csv);
   std::string header;
@@ -242,6 +251,85 @@ TEST(MetricsIo, JobSummaryIncludesGovernorFields) {
   EXPECT_NE(s.find("governor_roots_parked=4"), std::string::npos);
   EXPECT_NE(s.find("governor_spill_bytes=512"), std::string::npos);
   EXPECT_NE(s.find("governed_oom_episodes=1"), std::string::npos);
+}
+
+TEST(MetricsIo, JobSummaryPrintsEveryFieldOnce) {
+  JobMetrics m;
+  m.supersteps = {make_superstep(0)};
+  std::ostringstream out;
+  write_job_summary(m, out);
+  std::map<std::string, int> keys;
+  std::istringstream in(out.str());
+  for (std::string token; in >> token;) ++keys[token.substr(0, token.find('='))];
+  for (const auto& f : kJobFields) EXPECT_EQ(keys[std::string(f.name)], 1) << f.name;
+  EXPECT_EQ(keys.size(), std::size(kJobFields));
+  // The four job rollups are the only derived keys.
+  EXPECT_EQ(std::ranges::count_if(kJobFields, [](const auto& f) { return !f.stored(); }), 4);
+}
+
+/// Changes one stored field: one ulp for doubles, +1 for integers, a flipped
+/// bool, a different string. Derived columns are left alone.
+template <class R>
+void bump(R& r, const FieldRef<R>& ref) {
+  std::visit(
+      [&r]<class F>(const F& f) {
+        if constexpr (std::is_member_object_pointer_v<F>) {
+          auto& v = r.*f;
+          using T = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, double>)
+            v = std::nextafter(v, std::numeric_limits<double>::infinity());
+          else if constexpr (std::is_same_v<T, std::string>)
+            v += "-changed";
+          else if constexpr (std::is_same_v<T, bool>)
+            v = !v;
+          else
+            ++v;
+        }
+      },
+      ref);
+}
+
+/// For every stored row of `table`: bump that field in a copy of `base`
+/// (where `pick` locates the record) and require the comparator to name it —
+/// or, for host-only fields, to report no difference.
+template <class R, std::size_t N, class Pick>
+void expect_each_field_checked(const MetricField<R> (&table)[N], const JobMetrics& base,
+                               const std::string& path, Pick pick) {
+  for (const auto& f : table) {
+    if (!f.stored()) continue;
+    JobMetrics changed = base;
+    bump(pick(changed), f.ref);
+    const std::string diff = first_modeled_difference(base, changed);
+    if (f.coverage == Coverage::host_only)
+      EXPECT_EQ(diff, "") << f.name;
+    else
+      EXPECT_EQ(diff.rfind(path + std::string(f.name) + ": ", 0), 0u) << f.name << " -> " << diff;
+  }
+}
+
+TEST(MetricFields, ComparatorNamesEveryModeledField) {
+  JobMetrics base;
+  base.supersteps = {make_superstep(0), make_superstep(1)};
+  base.total_time = 12.5;
+  base.recovery_mode = "confined";
+  EXPECT_EQ(first_modeled_difference(base, base), "");
+
+  expect_each_field_checked(kJobFields, base, "", [](JobMetrics& m) -> JobMetrics& { return m; });
+  expect_each_field_checked(kSuperstepFields, base, "supersteps[1].",
+                            [](JobMetrics& m) -> SuperstepMetrics& { return m.supersteps[1]; });
+  expect_each_field_checked(
+      kWorkerFields, base, "supersteps[1].workers[1].",
+      [](JobMetrics& m) -> WorkerStepMetrics& { return m.supersteps[1].workers[1]; });
+
+  JobMetrics shorter = base;
+  shorter.supersteps.pop_back();
+  EXPECT_EQ(first_modeled_difference(base, shorter), "supersteps.size: 2 vs 1");
+  JobMetrics narrower = base;
+  narrower.supersteps[0].workers.pop_back();
+  EXPECT_EQ(first_modeled_difference(base, narrower), "supersteps[0].workers.size: 2 vs 1");
+  JobMetrics later = base;
+  later.total_time = 12.75;
+  EXPECT_EQ(first_modeled_difference(base, later), "total_time_s: 12.5 vs 12.75");
 }
 
 }  // namespace

@@ -149,27 +149,18 @@ void expect_job_matches_solo(const JobScheduler& scheduler, std::uint64_t id,
     case 0: {
       const auto solo = solo_run(c.ws, PageRankProgram{8, 0.85}, lanes, c.ws_parts,
                                  pagerank_opts());
-      ASSERT_EQ(rep.metrics.total_supersteps(), solo.metrics.total_supersteps());
-      EXPECT_EQ(rep.metrics.total_time, solo.metrics.total_time);
-      EXPECT_EQ(rep.metrics.cost_usd, solo.metrics.cost_usd);
-      EXPECT_EQ(rep.metrics.vm_seconds, solo.metrics.vm_seconds);
+      EXPECT_EQ(first_modeled_difference(rep.metrics, solo.metrics), "");
       break;
     }
     case 1: {
       const auto solo = solo_run(c.ba, SsspProgram{}, lanes, c.ba_parts, sssp_opts(0));
-      ASSERT_EQ(rep.metrics.total_supersteps(), solo.metrics.total_supersteps());
-      EXPECT_EQ(rep.metrics.total_time, solo.metrics.total_time);
-      EXPECT_EQ(rep.metrics.cost_usd, solo.metrics.cost_usd);
-      EXPECT_EQ(rep.metrics.vm_seconds, solo.metrics.vm_seconds);
+      EXPECT_EQ(first_modeled_difference(rep.metrics, solo.metrics), "");
       break;
     }
     default: {
       const auto solo = solo_run(c.er, ComponentsProgram{}, lanes, c.er_parts,
                                  components_opts());
-      ASSERT_EQ(rep.metrics.total_supersteps(), solo.metrics.total_supersteps());
-      EXPECT_EQ(rep.metrics.total_time, solo.metrics.total_time);
-      EXPECT_EQ(rep.metrics.cost_usd, solo.metrics.cost_usd);
-      EXPECT_EQ(rep.metrics.vm_seconds, solo.metrics.vm_seconds);
+      EXPECT_EQ(first_modeled_difference(rep.metrics, solo.metrics), "");
       break;
     }
   }
@@ -201,9 +192,7 @@ TEST(EngineReentrant, SlicedRunMatchesMonolithicRun) {
                           sizeof(double)),
               0)
         << "rank diverged at vertex " << v;
-  EXPECT_EQ(sliced.metrics.total_time, whole.metrics.total_time);
-  EXPECT_EQ(sliced.metrics.cost_usd, whole.metrics.cost_usd);
-  EXPECT_EQ(sliced.metrics.total_supersteps(), whole.metrics.total_supersteps());
+  EXPECT_EQ(first_modeled_difference(sliced.metrics, whole.metrics), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -470,9 +459,7 @@ TEST(SchedScaleIn, FrontierCollapseRetiresVmsWithoutChangingValues) {
   // Same elastic run a second time is bit-identical (modeled-state trigger).
   Engine<SsspProgram> again(chain, {}, elastic, parts);
   const auto repeat = again.run(sssp_opts(0));
-  EXPECT_EQ(repeat.metrics.total_time, scaled.metrics.total_time);
-  EXPECT_EQ(repeat.metrics.cost_usd, scaled.metrics.cost_usd);
-  EXPECT_EQ(repeat.metrics.scale_ins, scaled.metrics.scale_ins);
+  EXPECT_EQ(first_modeled_difference(repeat.metrics, scaled.metrics), "");
 }
 
 TEST(SchedScaleIn, SchedulerReclaimsRetiredVms) {
@@ -508,9 +495,7 @@ TEST(SchedScaleIn, SchedulerReclaimsRetiredVms) {
   for (const auto id : {id0, id1}) {
     const JobReport& rep = scheduler.report(id);
     ASSERT_FALSE(rep.failed) << rep.failure_reason;
-    EXPECT_EQ(rep.metrics.total_time, alone.metrics.total_time);
-    EXPECT_EQ(rep.metrics.cost_usd, alone.metrics.cost_usd);
-    EXPECT_EQ(rep.metrics.scale_ins, alone.metrics.scale_ins);
+    EXPECT_EQ(first_modeled_difference(rep.metrics, alone.metrics), "");
   }
 }
 
@@ -546,7 +531,7 @@ TEST(SchedDeadlines, MissesAreCountedAndReportedInCsv) {
 
   // A deadline never perturbs the job itself: observability, not policy.
   const auto solo = solo_run(c.ba, SsspProgram{}, 4, c.ba_parts, sssp_opts(0));
-  EXPECT_EQ(scheduler.report(id_tight).metrics.total_time, solo.metrics.total_time);
+  EXPECT_EQ(first_modeled_difference(scheduler.report(id_tight).metrics, solo.metrics), "");
 
   // The pool CSV carries the deadline columns; summary carries the rollup.
   std::ostringstream csv;

@@ -555,9 +555,8 @@ SeedOutcome run_scheduler_scenario(SplitMix64& rng, bool smoke, std::string& des
       o.start_all_vertices = true;
       const auto alone = solo.run(o);
       const auto& pooled = c.pr->result();
-      if (pooled.metrics.total_time != alone.metrics.total_time ||
-          pooled.metrics.cost_usd != alone.metrics.cost_usd)
-        return {false, "job " + std::to_string(i) + " modeled time/cost diverged", ""};
+      if (const auto diff = first_modeled_difference(pooled.metrics, alone.metrics); !diff.empty())
+        return {false, "job " + std::to_string(i) + " metrics diverged: " + diff, ""};
       for (VertexId v = 0; v < c.g.num_vertices(); ++v)
         if (std::memcmp(&pooled.values[v].rank, &alone.values[v].rank,
                         sizeof(double)) != 0)
@@ -571,9 +570,8 @@ SeedOutcome run_scheduler_scenario(SplitMix64& rng, bool smoke, std::string& des
       o.roots = {c.root};
       const auto alone = solo.run(o);
       const auto& pooled = c.sp->result();
-      if (pooled.metrics.total_time != alone.metrics.total_time ||
-          pooled.metrics.cost_usd != alone.metrics.cost_usd)
-        return {false, "job " + std::to_string(i) + " modeled time/cost diverged", ""};
+      if (const auto diff = first_modeled_difference(pooled.metrics, alone.metrics); !diff.empty())
+        return {false, "job " + std::to_string(i) + " metrics diverged: " + diff, ""};
       for (VertexId v = 0; v < c.g.num_vertices(); ++v)
         if (pooled.values[v].distance != alone.values[v].distance)
           return {false,

@@ -22,6 +22,7 @@
 #include "subgraph/components.hpp"
 #include "subgraph/pagerank.hpp"
 #include "subgraph/sssp.hpp"
+#include "support/determinism.hpp"
 
 namespace pregel {
 namespace {
@@ -29,13 +30,6 @@ namespace {
 using subgraph::ComponentsSubgraphProgram;
 using subgraph::PageRankSubgraphProgram;
 using subgraph::SsspSubgraphProgram;
-
-ClusterConfig eight_partitions_four_vms() {
-  ClusterConfig c;
-  c.num_partitions = 8;
-  c.initial_workers = 4;
-  return c;
-}
 
 // Delta checkpointing is on by default with an interval; the subgraph dirty
 // contract (state_unchanged_all + mark_changed) feeds the same dirty bitmap
