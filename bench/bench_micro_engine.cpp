@@ -86,7 +86,7 @@ BENCHMARK(BM_EngineParallelSupersteps)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::
 
 // Skewed-frontier traversal: ~90% of vertices (and hence of every dense
 // frontier) sit in one partition, so lane counts > 1 only pay off if dry
-// lanes steal bag chunks from the loaded one. Arg = parallelism; the Arg(8)
+// lanes steal frontier chunks from the loaded one. Arg = parallelism; the Arg(8)
 // row over the Arg(1) row is the work-stealing speedup on a multi-core host.
 // On a single-core runner the two rows mostly measure staging overhead —
 // still gated, so that overhead can't silently grow.

@@ -38,6 +38,21 @@ struct WorkerLoad {
   Bytes bytes_sent_remote = 0;
   Bytes bytes_received_remote = 0;
   Bytes memory_peak = 0;  ///< graph partition + buffered messages + vertex state
+
+  /// Field-by-field integer sum: folds per-chunk, per-sender and
+  /// per-partition loads into their owner. Order-free, so any fold order
+  /// gives the same totals.
+  WorkerLoad& operator+=(const WorkerLoad& o) noexcept {
+    vertices_computed += o.vertices_computed;
+    messages_processed += o.messages_processed;
+    messages_sent_local += o.messages_sent_local;
+    messages_sent_remote += o.messages_sent_remote;
+    subgraph_ops += o.subgraph_ops;
+    bytes_sent_remote += o.bytes_sent_remote;
+    bytes_received_remote += o.bytes_received_remote;
+    memory_peak += o.memory_peak;
+    return *this;
+  }
 };
 
 struct CostParams {

@@ -173,6 +173,12 @@ struct DirectionOptions {
   double beta = 24.0;
 };
 
+/// Active vertices per frontier chunk when JobOptions::frontier_grain is 0.
+/// 256 keeps a chunk's slice within a few cache lines of active indices
+/// while giving a skewed partition enough chunks to spread across every
+/// lane.
+inline constexpr std::uint32_t kDefaultFrontierGrain = 256;
+
 /// Per-run options.
 struct JobOptions {
   /// PageRank-style: every vertex active in superstep 0 (roots must be empty).
@@ -202,10 +208,10 @@ struct JobOptions {
   /// setting — compute stages its emissions per chunk and a deterministic
   /// merge applies them in serial (rank) order.
   std::uint32_t parallelism = 0;
-  /// Active vertices per frontier-bag leaf chunk — the unit of work the
-  /// lanes steal from each other. Another pure wall-clock knob: chunk
-  /// boundaries never change results, only load balance granularity.
-  /// 0 = the bag's built-in default (256).
+  /// Active vertices per frontier chunk — a grain-sized slice of a
+  /// partition's sorted active list, the unit of work the lanes steal from
+  /// each other. Another pure wall-clock knob: chunk boundaries never change
+  /// results, only load balance granularity. 0 = kDefaultFrontierGrain.
   std::uint32_t frontier_grain = 0;
   /// Direction optimization for programs that opt in; ignored by others.
   DirectionOptions direction;

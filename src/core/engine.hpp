@@ -24,20 +24,20 @@
 // (4) runs the barrier.
 //
 // Partition compute runs on a persistent host thread pool
-// (JobOptions::parallelism). The unit of work is a frontier-bag chunk:
-// each partition's active list is packed into a splittable bag
-// (src/util/bag.hpp) whose grain-sized leaves become chunks that lanes
-// drain — and steal from each other when a skewed frontier leaves some
-// lanes dry. Chunks never touch shared engine state: every side effect
-// (emissions, activations, wakes, aggregate contributions, counters) is
-// staged in per-chunk scratch, and a deterministic merge — parallel across
-// destination partitions, ordered by (sender rank, emission order) within
-// each — applies routing, combining, activation, and cost counters.
-// Results and modeled times are therefore bit-identical at any thread
-// count and any steal schedule; only host wall-clock changes. Parallelism 1
-// runs the same chunk loop on one lane; there, unmigrated and in push mode,
-// emissions are delivered as they are emitted (direct_route_), because one
-// lane computes chunks in exactly the merge order.
+// (JobOptions::parallelism). The unit of work is a frontier chunk: a
+// grain-sized slice [first, last) of a partition's sorted active list,
+// which lanes drain — and steal from each other when a skewed frontier
+// leaves some lanes dry. Chunks never touch shared engine state: every
+// side effect (emissions, activations, wakes, aggregate contributions,
+// counters) is staged in per-chunk scratch, and a deterministic merge —
+// parallel across destination partitions, ordered by (sender rank,
+// emission order) within each — applies routing, combining, activation,
+// and cost counters. Results and modeled times are therefore bit-identical
+// at any thread count and any steal schedule; only host wall-clock
+// changes. Parallelism 1 runs the same chunk loop on one lane; there,
+// unmigrated and in push mode, emissions are delivered as they are emitted
+// (direct_route_), because one lane computes chunks in exactly the merge
+// order.
 // Program::compute must be thread-safe (const/stateless, as the contract
 // below already implies).
 //
@@ -108,7 +108,6 @@
 #include "core/engine_core.hpp"
 #include "core/inbox.hpp"
 #include "runtime/trace.hpp"
-#include "util/bag.hpp"
 #include "util/buffers.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -512,14 +511,16 @@ class Engine final : public EngineCore {
     Bytes outbuf_bytes = 0;
   };
 
-  /// One unit of stealable work: a leaf of a partition's frontier bag.
+  /// One unit of stealable work: the slice [first, last) of a partition's
+  /// sorted active list (active_cur).
   struct ChunkRef {
     std::uint32_t partition;
-    std::uint32_t leaf;  ///< leaf index within frontier_bags_[partition]
+    std::uint32_t first;
+    std::uint32_t last;
   };
 
   /// Everything a chunk's compute produces, staged thread-locally and folded
-  /// back in deterministic (partition-major, leaf-order) sequence after the
+  /// back in deterministic (partition-major, slice-order) sequence after the
   /// compute barrier. Chunks of the same partition never run concurrently
   /// with that partition's merge, so nothing here needs synchronization.
   struct ChunkScratch {
@@ -550,7 +551,7 @@ class Engine final : public EngineCore {
       data_[p].inbox.reset(pn, opts_combine_);
     }
 
-    // Host-parallelism: resolve the lane count and the frontier-bag grain.
+    // Host-parallelism: resolve the lane count and the frontier grain.
     // The pool persists across runs when the resolved width is unchanged.
     const std::uint32_t requested =
         opts_.parallelism == 0 ? ThreadPool::hardware_threads() : opts_.parallelism;
@@ -561,8 +562,7 @@ class Engine final : public EngineCore {
     } else {
       pool_.reset();
     }
-    grain_ = opts_.frontier_grain == 0 ? Bag::kDefaultGrain : opts_.frontier_grain;
-    frontier_bags_.assign(parts_.size(), Bag(grain_));
+    grain_ = opts_.frontier_grain == 0 ? kDefaultFrontierGrain : opts_.frontier_grain;
     chunks_.clear();
     chunk_scratch_.clear();
     part_chunk_range_.assign(parts_.size(), {0, 0});
@@ -683,19 +683,19 @@ class Engine final : public EngineCore {
     }
   }
 
-  /// Pack each partition's sorted active list into its frontier bag and
-  /// enumerate the bags' leaves as chunks — partition-major, leaf order —
-  /// so "chunk index order" is exactly serial visit order.
+  /// Cut each partition's sorted active list at multiples of the grain and
+  /// enumerate the slices as chunks — partition-major, slice order — so
+  /// "chunk index order" is exactly serial visit order.
   void build_frontier_chunks() {
     chunks_.clear();
     const std::size_t n = parts_.size();
     for (std::uint32_t p = 0; p < n; ++p) {
-      Bag& bag = frontier_bags_[p];
-      bag.assign(std::span<const std::uint32_t>(parts_[p].active_cur));
-      const std::uint32_t first = static_cast<std::uint32_t>(chunks_.size());
-      for (std::size_t leaf = 0; leaf < bag.num_leaves(); ++leaf)
-        chunks_.push_back(ChunkRef{p, static_cast<std::uint32_t>(leaf)});
-      part_chunk_range_[p] = {first, static_cast<std::uint32_t>(chunks_.size())};
+      const std::size_t active = parts_[p].active_cur.size();
+      const auto first_chunk = static_cast<std::uint32_t>(chunks_.size());
+      for (std::size_t first = 0; first < active; first += grain_)
+        chunks_.push_back(ChunkRef{p, static_cast<std::uint32_t>(first),
+                                   static_cast<std::uint32_t>(std::min(first + grain_, active))});
+      part_chunk_range_[p] = {first_chunk, static_cast<std::uint32_t>(chunks_.size())};
     }
     reset_chunk_scratch(chunks_.size());
   }
@@ -716,7 +716,7 @@ class Engine final : public EngineCore {
 
   /// Drain one frontier chunk through compute(), staging every side effect
   /// in the chunk's scratch. Chunks write only their own scratch, their own
-  /// vertices' values (disjoint: a vertex is in exactly one leaf), and
+  /// vertices' values (disjoint: a vertex is in exactly one slice), and
   /// per-vertex state_bytes_v slots, and read the sealed inbox arena — so
   /// any lane may run any chunk.
   void compute_chunk(std::size_t c) {
@@ -725,7 +725,7 @@ class Engine final : public EngineCore {
     PartitionMeta& ps = parts_[ref.partition];
     PartitionData& pd = data_[ref.partition];
     ChunkScratch& cs = chunk_scratch_[c];
-    for (std::uint32_t l : frontier_bags_[ref.partition].leaf(ref.leaf)) {
+    for (std::uint32_t l : std::span(ps.active_cur).subspan(ref.first, ref.last - ref.first)) {
       // Tag emissions with the sender's immutable rank and its combining
       // domain. The domain is the VM of the vertex's *original* partition:
       // identical to vm_of(p) while unmigrated, and invariant under
@@ -796,7 +796,7 @@ class Engine final : public EngineCore {
   /// K-way merge by rank of one per-chunk log (`row_of(chunk)`) across the
   /// source partitions, calling `apply(source, entry)` in ascending rank.
   /// Each source's concatenated chunk rows are rank-sorted (compute walks
-  /// actives in rank order and chunks follow leaf order), so the best source
+  /// actives in rank order and chunks follow slice order), so the best source
   /// drains until its head rank passes the runner-up's.
   /// Unmigrated, ranks are partition-major: each source drains in a single
   /// pass, which is the plain source-by-source loop at its cost.
@@ -985,9 +985,7 @@ class Engine final : public EngineCore {
       Bytes drained = 0;
       for (std::uint32_t c = first; c < last; ++c) {
         const ChunkScratch& cs = chunk_scratch_[c];
-        ps.load.vertices_computed += cs.load.vertices_computed;
-        ps.load.messages_processed += cs.load.messages_processed;
-        ps.load.subgraph_ops += cs.load.subgraph_ops;
+        ps.load += cs.load;
         drained += cs.drained_bytes;
         ps.state_bytes += cs.state_delta;
       }
@@ -1006,9 +1004,7 @@ class Engine final : public EngineCore {
       PartitionMeta& ps = parts_[p];
       for (std::uint32_t q = 0; q < n; ++q) {
         SendScratch& acc = send_scratch_[q * n + p];
-        ps.load.messages_sent_local += acc.load.messages_sent_local;
-        ps.load.messages_sent_remote += acc.load.messages_sent_remote;
-        ps.load.bytes_sent_remote += acc.load.bytes_sent_remote;
+        ps.load += acc.load;
         ps.outbuf_bytes += acc.outbuf_bytes;
         acc = {};
       }
@@ -1030,13 +1026,13 @@ class Engine final : public EngineCore {
 
   /// One chunk per partition: chunk index == partition index, so the staged
   /// merge, the counter folds, and the log replays all see the exact shape
-  /// the vertex-centric staged path produces, with leaf order degenerate.
+  /// the vertex-centric staged path produces, with slice order degenerate.
   void setup_subgraph_chunks() {
     const std::size_t n = parts_.size();
     chunks_.clear();
     for (std::uint32_t p = 0; p < n; ++p) {
       part_chunk_range_[p] = {p, p + 1};
-      chunks_.push_back(ChunkRef{p, 0});
+      chunks_.push_back(ChunkRef{p, 0, 0});
     }
     reset_chunk_scratch(n);
   }
@@ -1278,7 +1274,7 @@ class Engine final : public EngineCore {
   }
 
   /// The partition total is staged per chunk; per-vertex slots are disjoint
-  /// across chunks (a vertex computes in exactly one leaf), so they are
+  /// across chunks (a vertex computes in exactly one slice), so they are
   /// written directly.
   void charge_state(std::uint32_t partition, std::uint32_t local, std::int64_t delta,
                     std::size_t chunk) {
@@ -1311,12 +1307,9 @@ class Engine final : public EngineCore {
   // -- host parallelism (wall-clock only; no effect on results or model) ----
   std::unique_ptr<ThreadPool> pool_;
   std::uint32_t threads_ = 1;  ///< resolved execution lanes for this run
-  std::uint32_t grain_ = Bag::kDefaultGrain;  ///< frontier-bag leaf size
-  /// One bag per partition, repacked from active_cur each staged superstep;
-  /// its leaves are the stealable chunks.
-  std::vector<Bag> frontier_bags_;
+  std::uint32_t grain_ = kDefaultFrontierGrain;  ///< active vertices per chunk
   std::vector<ChunkRef> chunks_;  ///< partition-major; index = serial order
-  /// [first, last) chunk indices of each partition's leaves.
+  /// [first, last) chunk indices of each partition's slices.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> part_chunk_range_;
   std::vector<ChunkScratch> chunk_scratch_;  ///< by chunk index
   std::vector<SendScratch> send_scratch_;    ///< [dst * P + src]

@@ -108,10 +108,9 @@ EngineCore::StepStatus EngineCore::advance(JobReport& result) {
                               std::to_string(superstep_) + " " + assessment.reason;
       return StepStatus::kDone;
     }
-    if (cluster_.recovery_mode == RecoveryMode::kConfined && !confined_replay_active())
-      recover_confined(event.dead, *assessment.plan);
-    else
-      recover_from_checkpoint(*assessment.plan);
+    const bool confined =
+        cluster_.recovery_mode == RecoveryMode::kConfined && !confined_replay_active();
+    recover_from_checkpoint(*assessment.plan, event.dead, confined);
     return StepStatus::kRunning;  // re-execute from the restored superstep
   }
 
@@ -403,13 +402,7 @@ bool EngineCore::finalize_timing(SuperstepMetrics& sm) {
   for (std::uint32_t p = 0; p < parts_.size(); ++p) {
     const PartitionMeta& ps = parts_[p];
     cloud::WorkerLoad& L = vm_load[vm_of(p)];
-    L.vertices_computed += ps.load.vertices_computed;
-    L.messages_processed += ps.load.messages_processed;
-    L.messages_sent_local += ps.load.messages_sent_local;
-    L.messages_sent_remote += ps.load.messages_sent_remote;
-    L.bytes_sent_remote += ps.load.bytes_sent_remote;
-    L.bytes_received_remote += ps.load.bytes_received_remote;
-    L.subgraph_ops += ps.load.subgraph_ops;
+    L += ps.load;
     // Peak resident: partition graph + algorithm state + undrained inbox
     // snapshot + next-superstep buffers + serialized outgoing.
     L.memory_peak += partition_resident_bytes(ps) + ps.outbuf_bytes;
@@ -1154,6 +1147,16 @@ Bytes EngineCore::biggest_checkpoint_bytes() const {
   return biggest;
 }
 
+EngineCore::UploadRound EngineCore::upload_round() {
+  UploadRound round;
+  for (std::uint32_t w = 0; w < workers_now_; ++w) {
+    const auto up = control_op(cloud::FaultKind::kBlobWrite);
+    round.extra_latency = std::max(round.extra_latency, up.extra_latency);
+    round.success = round.success && up.success;
+  }
+  return round;
+}
+
 void EngineCore::maybe_checkpoint() {
   if (cluster_.checkpoint_interval == 0) return;
   if ((superstep_ + 1) % cluster_.checkpoint_interval != 0) return;
@@ -1164,16 +1167,9 @@ void EngineCore::maybe_checkpoint() {
   // retries) bounds the barrier extension. A worker that exhausts its
   // retry budget abandons the round: the previous checkpoint stays in
   // force, and only the wasted retry latency is charged.
-  Seconds retry_extra = 0.0;
-  bool uploaded = true;
-  for (std::uint32_t w = 0; w < workers_now_; ++w) {
-    const auto up = control_op(cloud::FaultKind::kBlobWrite);
-    retry_extra = std::max(retry_extra, up.extra_latency);
-    uploaded = uploaded && up.success;
-  }
-
-  Seconds t = retry_extra;
-  if (uploaded) {
+  const UploadRound upload = upload_round();
+  Seconds t = upload.extra_latency;
+  if (upload.success) {
     // Stage this round's data legs (full base or dirty-sized delta) and
     // run the two-phase publish: legs, then the chain-hashed manifest.
     const bool base = ckpt_.next_is_base(location_version_);
@@ -1228,15 +1224,9 @@ void EngineCore::maybe_checkpoint() {
         // checkpoint down with every VM that could restore it. The replica
         // upload is serialized after the primary ack, so the barrier pays
         // one more transfer of the biggest checkpoint (plus its retries).
-        Seconds replica_extra = 0.0;
-        bool replicated = true;
-        for (std::uint32_t w = 0; w < workers_now_; ++w) {
-          const auto rep = control_op(cloud::FaultKind::kBlobWrite);
-          replica_extra = std::max(replica_extra, rep.extra_latency);
-          replicated = replicated && rep.success;
-        }
-        t += replica_extra;
-        if (replicated && ckpt_.complete_replica_round(faults_)) {
+        const UploadRound replica = upload_round();
+        t += replica.extra_latency;
+        if (replica.success && ckpt_.complete_replica_round(faults_)) {
           t += cost_.transfer_time(biggest, cluster_.vm);
           m.checkpoint_replicas_written += workers_now_;
           trace::add("engine.checkpoint.replicas", workers_now_);
@@ -1453,54 +1443,50 @@ Seconds EngineCore::restore_read_time(Seconds detection, Bytes bytes, Seconds ha
   return t;
 }
 
-void EngineCore::recover_from_checkpoint(const cloud::CkptRestorePlan& plan) {
-  trace::Span span("engine.recover.full", "recovery", "superstep", superstep_);
-  trace::add("engine.recoveries", 1);
-  metrics().replayed_supersteps += superstep_ + 1 - plan.resume_superstep;
-  ++failure_epoch_;
-  // A failure during an active confined replay falls back to the full
-  // Pregel rollback: every partition reloads, so the replay-in-progress
-  // bookkeeping is void.
-  replay_lost_vms_.clear();
-
-  // Detection (missed heartbeats), replacement VM, checkpoint download by
-  // every worker (they all roll back, per the Pregel recovery model).
-  Bytes biggest = 0;
-  for (std::uint32_t w = 0; w < workers_now_; ++w)
-    biggest = std::max(biggest, plan_restore_bytes(plan, w));
-  charge_stall(metrics().recovery_time,
-               restore_read_time(cluster_.failure_detection_time + cluster_.vm_reacquisition_time,
-                                 biggest, 0.0));
-
-  restore_snapshot_state(*static_cast<const Snapshot*>(plan.payload.get()));
-  ckpt_.truncate_after(plan.seq);  // the replay re-writes those rounds
-  reinitiate_after_restore();
+/// Rewind to `s`, the tail every rollback shares: count the supersteps to
+/// re-execute, charge the already-drawn `stall` to `category`, and restore.
+void EngineCore::rewind(const Snapshot& s, Seconds& category, Seconds stall) {
+  metrics().replayed_supersteps += superstep_ + 1 - s.superstep;
+  charge_stall(category, stall);
+  restore_snapshot_state(s);
 }
 
-/// Confined recovery: only the dead VMs' partitions reload the checkpoint
-/// and recompute (one VM for a lone failure; a whole domain after a zone
-/// outage). State restoration rewinds everything (the simulator re-derives
-/// healthy partitions' identical state while replaying), but replay
-/// supersteps are costed confined: healthy workers only re-deliver logged
-/// outbox bytes, and only the replacement VMs download checkpoint data —
-/// in parallel, so the largest lost checkpoint bounds the stall.
-void EngineCore::recover_confined(const std::vector<std::uint32_t>& dead,
-                                  const cloud::CkptRestorePlan& plan) {
-  trace::Span span("engine.recover.confined", "recovery", "vms", dead.size());
+/// Worker-failure rollback to `plan`'s checkpoint. Full (the Pregel
+/// recovery model): every worker downloads its share and every partition
+/// recomputes. Confined: only the `dead` VMs' partitions reload and
+/// recompute (one VM for a lone failure; a whole domain after a zone
+/// outage). State restoration rewinds everything either way (the simulator
+/// re-derives healthy partitions' identical state while replaying), but
+/// confined replay supersteps are costed confined: healthy workers only
+/// re-deliver logged outbox bytes. Downloads run in parallel, so the
+/// largest one bounds the stall.
+void EngineCore::recover_from_checkpoint(const cloud::CkptRestorePlan& plan,
+                                         const std::vector<std::uint32_t>& dead, bool confined) {
+  trace::Span span(confined ? "engine.recover.confined" : "engine.recover.full", "recovery",
+                   confined ? "vms" : "superstep", confined ? dead.size() : superstep_);
   trace::add("engine.recoveries", 1);
-  metrics().replayed_supersteps += superstep_ + 1 - plan.resume_superstep;
   ++failure_epoch_;
+  // A failure during an active confined replay falls back to the full
+  // rollback: every partition reloads, so the replay-in-progress
+  // bookkeeping is void. (A confined recovery starts with none active.)
+  replay_lost_vms_.clear();
 
-  Bytes biggest_lost = 0;
-  for (const std::uint32_t vm : dead)
-    biggest_lost = std::max(biggest_lost, plan_restore_bytes(plan, vm));
-  charge_stall(metrics().recovery_time,
-               restore_read_time(cluster_.failure_detection_time + cluster_.vm_reacquisition_time,
-                                 biggest_lost, 0.0));
+  // Detection (missed heartbeats), replacement VM, checkpoint download.
+  Bytes biggest = 0;
+  if (confined) {
+    for (const std::uint32_t vm : dead) biggest = std::max(biggest, plan_restore_bytes(plan, vm));
+  } else {
+    for (std::uint32_t vm = 0; vm < workers_now_; ++vm)
+      biggest = std::max(biggest, plan_restore_bytes(plan, vm));
+  }
+  const Seconds stall = restore_read_time(
+      cluster_.failure_detection_time + cluster_.vm_reacquisition_time, biggest, 0.0);
 
-  confined_replay_until_ = superstep_;
-  replay_lost_vms_ = dead;
-  restore_snapshot_state(*static_cast<const Snapshot*>(plan.payload.get()));
+  if (confined) {
+    confined_replay_until_ = superstep_;
+    replay_lost_vms_ = dead;
+  }
+  rewind(*static_cast<const Snapshot*>(plan.payload.get()), metrics().recovery_time, stall);
   ckpt_.truncate_after(plan.seq);  // the replay re-writes those rounds
   reinitiate_after_restore();
 }
@@ -1601,12 +1587,8 @@ void EngineCore::shed_newest_roots() {
   PREGEL_DCHECK(k >= 1 && k <= parkable.size());
   const std::unordered_set<VertexId> parked(parkable.end() - k, parkable.end());
 
-  metrics().replayed_supersteps += superstep_ + 1 - s.superstep;
-  charge_stall(metrics().governor_shed_time,
-               restore_read_time(0.0, biggest_checkpoint_bytes(),
-                                 cost_.params().queue_op_latency));
-
-  restore_snapshot_state(s);
+  rewind(s, metrics().governor_shed_time,
+         restore_read_time(0.0, biggest_checkpoint_bytes(), cost_.params().queue_op_latency));
   // Park: move the shed roots behind every other pending root, preserving
   // relative order. The snapshot's own pending list is updated too — a
   // later failure rollback must not silently undo the parking.
@@ -1634,16 +1616,12 @@ void EngineCore::shed_newest_roots() {
 void EngineCore::governed_oom_restore() {
   trace::Span span("engine.governor.escalate", "recovery", "superstep", superstep_);
   const Snapshot& s = *newest_snapshot();
-  metrics().replayed_supersteps += superstep_ + 1 - s.superstep;
   ++failure_epoch_;
   replay_lost_vms_.clear();
   const std::uint32_t offending = swath_.last_swath_size;
-
-  charge_stall(metrics().recovery_time,
-               restore_read_time(cluster_.failure_detection_time + cluster_.vm_reacquisition_time,
-                                 biggest_checkpoint_bytes(), 0.0));
-
-  restore_snapshot_state(s);
+  rewind(s, metrics().recovery_time,
+         restore_read_time(cluster_.failure_detection_time + cluster_.vm_reacquisition_time,
+                           biggest_checkpoint_bytes(), 0.0));
   governor_.on_escalated(offending);
   ++metrics().governed_oom_episodes;
   trace::add("engine.governor.escalations", 1);

@@ -343,6 +343,14 @@ class EngineCore {
   Bytes delta_leg_bytes(std::uint32_t p) const;
   Bytes checkpoint_bytes(std::uint32_t vm) const;
   Bytes biggest_checkpoint_bytes() const;
+  /// One blob write per worker, uploaded in parallel: the worst retry
+  /// latency bounds the barrier extension, and the round lands only when
+  /// every write does.
+  struct UploadRound {
+    Seconds extra_latency = 0.0;
+    bool success = true;
+  };
+  UploadRound upload_round();
   void maybe_checkpoint();
   void maybe_scrub();
 
@@ -361,9 +369,9 @@ class EngineCore {
   /// then `bytes` over the NIC, then `handoff`, then the read's retry
   /// latency, plus one op deadline when the read ran out of retries.
   Seconds restore_read_time(Seconds detection, Bytes bytes, Seconds handoff);
-  void recover_from_checkpoint(const cloud::CkptRestorePlan& plan);
-  void recover_confined(const std::vector<std::uint32_t>& dead,
-                        const cloud::CkptRestorePlan& plan);
+  void rewind(const Snapshot& s, Seconds& category, Seconds stall);
+  void recover_from_checkpoint(const cloud::CkptRestorePlan& plan,
+                               const std::vector<std::uint32_t>& dead, bool confined);
   void reinitiate_after_restore();
 
   // memory-pressure governor

@@ -61,7 +61,7 @@ struct SuperstepMetrics {
   /// mode. Decided from modeled frontier density only, so it is part of the
   /// bit-identity contract (same at any parallelism).
   bool pull_mode = false;
-  /// Work-stealing activity among host lanes draining the frontier bags.
+  /// Work-stealing activity among host lanes draining the frontier chunks.
   /// These are wall-clock artifacts of the OS scheduler — two runs of the
   /// same job may steal differently — so they are exempt from the
   /// bit-identity contract and must never feed modeled times or costs.
@@ -139,7 +139,7 @@ struct JobMetrics {
   /// check-ins through the simulated queue service).
   std::uint64_t control_queue_ops = 0;
 
-  // Frontier execution (bag work stealing + direction optimization; see
+  // Frontier execution (chunk work stealing + direction optimization; see
   // docs/MODEL.md). Steal counts are host-scheduling artifacts excluded from
   // the bit-identity contract; pull counts are modeled and covered by it.
   std::uint64_t work_steals = 0;        ///< lane-to-lane chunk transfers

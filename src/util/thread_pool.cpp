@@ -31,36 +31,9 @@ unsigned ThreadPool::hardware_threads() noexcept {
 }
 
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (threads_.empty() || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    PREGEL_CHECK_MSG(body_ == nullptr, "ThreadPool: barrier entered with a stale job");
-    body_ = &body;
-    n_ = n;
-    stealing_ = false;
-    next_.store(0, std::memory_order_relaxed);
-    finished_ = 0;
-    error_ = nullptr;
-    ++epoch_;
-  }
-  start_cv_.notify_all();
-
-  run_indices();
-
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this] { return finished_ == threads_.size(); });
-  finish_barrier_locked();
-  if (error_) {
-    std::exception_ptr e = error_;
-    error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(e);
-  }
+  std::vector<std::vector<std::size_t>> queues(workers_);
+  for (std::size_t i = 0; i < n; ++i) queues[i % workers_].push_back(i);
+  parallel_steal(std::move(queues), body);
 }
 
 ThreadPool::StealOutcome ThreadPool::parallel_steal(
@@ -71,7 +44,7 @@ ThreadPool::StealOutcome ThreadPool::parallel_steal(
   std::size_t total = 0;
   for (const auto& q : queues) total += q.size();
   if (total == 0) return {};
-  if (threads_.empty()) {
+  if (threads_.empty() || total == 1) {
     for (const auto& q : queues)
       for (const std::size_t item : q) body(item);
     return {};
@@ -86,8 +59,6 @@ ThreadPool::StealOutcome ThreadPool::parallel_steal(
       lanes_[l]->q.assign(queues[l].begin(), queues[l].end());
     }
     body_ = &body;
-    n_ = total;
-    stealing_ = true;
     remaining_.store(total, std::memory_order_relaxed);
     steals_.store(0, std::memory_order_relaxed);
     stolen_items_.store(0, std::memory_order_relaxed);
@@ -114,19 +85,15 @@ ThreadPool::StealOutcome ThreadPool::parallel_steal(
 
 void ThreadPool::finish_barrier_locked() {
   // Clean-epoch invariants: every worker has retired from this job, and no
-  // job state leaks into the next barrier. With parallel_steal, a body that
-  // threw must still have decremented remaining_, or these would trip.
+  // job state leaks into the next barrier. A body that threw must still
+  // have decremented remaining_, or these would trip.
   PREGEL_CHECK_MSG(finished_ == threads_.size(),
                    "ThreadPool: barrier exited with workers still busy");
-  if (stealing_) {
-    PREGEL_CHECK_MSG(remaining_.load(std::memory_order_relaxed) == 0,
-                     "ThreadPool: steal barrier exited with items pending");
-    for (const auto& lane : lanes_) PREGEL_CHECK_MSG(lane->q.empty(),
-                                                     "ThreadPool: lane queue not drained");
-  }
+  PREGEL_CHECK_MSG(remaining_.load(std::memory_order_relaxed) == 0,
+                   "ThreadPool: barrier exited with items pending");
+  for (const auto& lane : lanes_)
+    PREGEL_CHECK_MSG(lane->q.empty(), "ThreadPool: lane queue not drained");
   body_ = nullptr;
-  n_ = 0;
-  stealing_ = false;
 }
 
 void ThreadPool::worker_loop(std::size_t lane) {
@@ -136,12 +103,8 @@ void ThreadPool::worker_loop(std::size_t lane) {
     start_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
     if (stop_) return;
     seen = epoch_;
-    const bool stealing = stealing_;
     lock.unlock();
-    if (stealing)
-      run_steal(lane);
-    else
-      run_indices();
+    run_steal(lane);
     lock.lock();
     if (++finished_ == threads_.size()) done_cv_.notify_one();
   }
@@ -164,18 +127,6 @@ void ThreadPool::record_exception() {
                             << e.what();
   } catch (...) {
     log_warn("thread_pool") << "suppressed secondary non-std exception from parallel body";
-  }
-}
-
-void ThreadPool::run_indices() {
-  for (;;) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n_) return;
-    try {
-      (*body_)(i);
-    } catch (...) {
-      record_exception();
-    }
   }
 }
 

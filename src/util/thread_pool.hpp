@@ -3,12 +3,11 @@
 // The engine keeps one pool alive across supersteps and issues two barriers
 // per superstep (compute, then merge), so the pool is built for cheap
 // repeated dispatch rather than general task scheduling: one mutex, one
-// epoch counter, and — depending on the job — either an atomic index that
-// workers race on (parallel_for) or per-lane queues with work stealing
-// (parallel_steal). Work distribution is dynamic in both modes, which is
-// safe for the engine's determinism contract because each item owns a
-// disjoint slice of state — *what* runs where never affects results, only
-// wall-clock time.
+// epoch counter, and one dispatch loop — per-lane queues with work
+// stealing (parallel_steal); parallel_for seeds its indices round-robin
+// onto those queues. Work distribution is dynamic, which is safe for the
+// engine's determinism contract because each item owns a disjoint slice of
+// state — *what* runs where never affects results, only wall-clock time.
 #pragma once
 
 #include <atomic>
@@ -49,19 +48,22 @@ class ThreadPool {
   /// std::thread::hardware_concurrency with the unknown (0) case mapped to 1.
   static unsigned hardware_threads() noexcept;
 
-  /// Run body(i) for every i in [0, n); the calling thread participates and
-  /// the call returns only after every index completed. The first exception
-  /// thrown by any body is rethrown here after the barrier; later ones are
-  /// counted in suppressed_exceptions() and logged, never silently dropped.
-  /// Not reentrant: body must not call back into the same pool.
+  /// Run body(i) for every i in [0, n): parallel_steal with index i seeded
+  /// onto lane i % size(), steal counts discarded. The calling thread
+  /// participates and the call returns only after every index completed.
+  /// The first exception thrown by any body is rethrown here after the
+  /// barrier; later ones are counted in suppressed_exceptions() and logged,
+  /// never silently dropped. Not reentrant: body must not call back into
+  /// the same pool.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// Work-stealing barrier: queues[l] seeds lane l's deque (queues.size()
   /// must equal size(); lane 0 is the caller). Each lane drains its own
   /// queue front-to-back; a lane that runs dry steals the back half of the
   /// fullest remaining queue instead of idling at the barrier. Every item
-  /// runs exactly once; exceptions behave as in parallel_for. Returns how
-  /// much stealing the OS schedule induced this barrier.
+  /// runs exactly once; exceptions behave as in parallel_for. A one-lane
+  /// pool or a single item runs inline on the caller, in queue order.
+  /// Returns how much stealing the OS schedule induced this barrier.
   StealOutcome parallel_steal(std::vector<std::vector<std::size_t>> queues,
                               const std::function<void(std::size_t)>& body);
 
@@ -81,10 +83,8 @@ class ThreadPool {
   };
 
   void worker_loop(std::size_t lane);
-  /// Grab-and-run indices until the current parallel_for job is exhausted.
-  void run_indices();
   /// Drain lane `lane`'s queue, stealing from the fullest victim when dry,
-  /// until every item of the current parallel_steal job has completed.
+  /// until every item of the current job has completed.
   void run_steal(std::size_t lane);
   void record_exception();
   /// Epoch hygiene (checked after every barrier): a stale body pointer or a
@@ -99,16 +99,13 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable start_cv_, done_cv_;
   const std::function<void(std::size_t)>* body_ = nullptr;  // guarded by mutex_
-  std::size_t n_ = 0;                                       // guarded by mutex_
-  bool stealing_ = false;  ///< current epoch's mode; guarded by mutex_
-  std::atomic<std::size_t> next_{0};
   std::size_t finished_ = 0;   ///< workers done with the current epoch
   std::uint64_t epoch_ = 0;    ///< bumped per job; workers wait on a change
   bool stop_ = false;
   std::exception_ptr error_;   // guarded by mutex_; first failure wins
   std::atomic<std::uint64_t> suppressed_{0};
 
-  // -- parallel_steal state --------------------------------------------------
+  // -- per-job dispatch state ------------------------------------------------
   std::vector<std::unique_ptr<Lane>> lanes_;  ///< sized workers_ at build
   std::atomic<std::size_t> remaining_{0};     ///< items not yet completed
   std::atomic<std::uint64_t> steals_{0};

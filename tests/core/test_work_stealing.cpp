@@ -1,9 +1,11 @@
-// The bag-frontier stealing contract: a pathologically skewed partitioning
-// (one partition owns ~90% of the frontier) must produce bit-identical
-// values and modeled metrics at every lane count and under any steal
-// schedule. Steal counters themselves are wall-clock artifacts and are the
-// ONE exemption from the bit-identity contract; everything else — including
-// the direction-optimizer's pull/push decisions — must replay exactly.
+// The frontier-chunk stealing contract: a chunk is a grain-sized slice of
+// a partition's sorted active list, and a pathologically skewed
+// partitioning (one partition owns ~90% of the frontier) must produce
+// bit-identical values and modeled metrics at every lane count, every
+// grain and under any steal schedule. Steal counters themselves are
+// wall-clock artifacts and are the ONE exemption from the bit-identity
+// contract; everything else — including the direction-optimizer's
+// pull/push decisions — must replay exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -48,16 +50,22 @@ TEST(WorkStealing, SkewedFrontierSsspBitIdenticalAcrossLanes) {
   const auto base = serial.run(o);
   ASSERT_FALSE(base.failed);
 
-  for (std::uint32_t lanes : lane_sweep()) {
-    o.parallelism = lanes;
-    Engine<SsspProgram> e(g, {}, c, parts);
-    const auto r = e.run(o);
-    ASSERT_FALSE(r.failed) << lanes << " lanes";
-    ASSERT_EQ(r.values.size(), base.values.size());
-    for (std::size_t v = 0; v < r.values.size(); ++v)
-      EXPECT_EQ(r.values[v].distance, base.values[v].distance)
-          << "vertex " << v << ", " << lanes << " lanes";
-    EXPECT_EQ(first_modeled_difference(r.metrics, base.metrics), "") << lanes << " lanes";
+  // Chunk boundaries: one vertex per chunk, and one chunk per partition (a
+  // grain larger than any frontier).
+  for (const std::uint32_t grain : {16u, 1u, 1u << 20}) {
+    o.frontier_grain = grain;
+    for (std::uint32_t lanes : lane_sweep()) {
+      o.parallelism = lanes;
+      Engine<SsspProgram> e(g, {}, c, parts);
+      const auto r = e.run(o);
+      ASSERT_FALSE(r.failed) << lanes << " lanes, grain " << grain;
+      ASSERT_EQ(r.values.size(), base.values.size());
+      for (std::size_t v = 0; v < r.values.size(); ++v)
+        EXPECT_EQ(r.values[v].distance, base.values[v].distance)
+            << "vertex " << v << ", " << lanes << " lanes, grain " << grain;
+      EXPECT_EQ(first_modeled_difference(r.metrics, base.metrics), "")
+          << lanes << " lanes, grain " << grain;
+    }
   }
 }
 

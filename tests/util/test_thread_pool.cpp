@@ -1,7 +1,7 @@
-// ThreadPool barrier semantics: every index runs exactly once under both
-// dispatch modes, steals actually happen under skew, and a barrier where
-// several lanes throw hands back a clean epoch — first exception rethrown,
-// the rest counted, the pool reusable.
+// ThreadPool barrier semantics: every index runs exactly once, whether
+// parallel_for seeds it or the caller does, steals actually happen under
+// skew, and a barrier where several lanes throw hands back a clean epoch —
+// first exception rethrown, the rest counted, the pool reusable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,11 +19,15 @@
 namespace pregel {
 namespace {
 
+// parallel_for seeds index i onto lane i % lanes: fewer indices than lanes
+// leave some lanes empty, more wrap around them.
 TEST(ThreadPool, ParallelForRunsEveryIndexOnce) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{pool.size() - 1}, std::size_t{1000}}) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i << " of " << n;
+  }
 }
 
 TEST(ThreadPool, ParallelStealRunsEveryItemExactlyOnce) {
