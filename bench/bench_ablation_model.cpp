@@ -167,7 +167,6 @@ int main(int argc, char** argv) {
       w.field(c.workload).field(c.model).field(c.partitioner)
           .field(c.supersteps).field(c.bytes).field(c.total).end_row();
   });
-  report.include_trace_counters();
   report.write_file(env().results_dir + "/BENCH_ablation_model.json");
   return 0;
 }

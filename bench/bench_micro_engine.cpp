@@ -6,7 +6,7 @@
 // In addition to the native google-benchmark flags (--benchmark_format=json,
 // --benchmark_out=..., used by CI's bench-smoke job), `--report <path>` writes
 // a pregelpp-bench-v1 JSON report (see harness/bench_report.hpp) with per-series
-// median/p90 wall times and the engine's perf-counter totals.
+// median/p90 wall times and per-series counters.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -21,7 +21,6 @@
 #include "partition/multilevel.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/streaming.hpp"
-#include "runtime/trace.hpp"
 #include "sched/scheduler.hpp"
 #include "subgraph/sssp.hpp"
 
@@ -365,18 +364,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Enable the perf-counter registry (spans stay off — no timeline needed)
-  // so engine/cloud totals land in the report next to the timings.
-  pregel::trace::TraceConfig cfg;
-  cfg.spans = false;
-  cfg.counters = true;
-  cfg.process_name = "bench_micro_engine";
-  pregel::trace::Tracer::instance().configure(cfg);
-
   pregel::harness::BenchReport report("micro_engine");
   CollectingReporter reporter(report);
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  report.include_trace_counters();
   report.write_file(report_path);
   return 0;
 }

@@ -1,23 +1,8 @@
 #include "cloud/elasticity.hpp"
 
-#include "runtime/trace.hpp"
 #include "util/check.hpp"
 
 namespace pregel::cloud {
-
-namespace {
-
-/// Every barrier-time scaling decision is countable; a decision that departs
-/// from the current worker count additionally counts as a change (the
-/// engine's scale.decision instant carries the from/to detail).
-void count_decision(std::uint32_t decided, const ScalingSignals& s) {
-  if (!trace::counters_on()) return;
-  trace::Tracer& t = trace::Tracer::instance();
-  t.counter("cloud.scaling.decisions").add(1);
-  if (decided != s.current_workers) t.counter("cloud.scaling.changes").add(1);
-}
-
-}  // namespace
 
 ActiveVertexScaling::ActiveVertexScaling(std::uint32_t low, std::uint32_t high,
                                          double threshold)
@@ -33,10 +18,7 @@ std::uint32_t ActiveVertexScaling::decide(const ScalingSignals& s) {
                           ? 0.0
                           : static_cast<double>(s.active_vertices) /
                                 static_cast<double>(s.total_vertices);
-  const std::uint32_t decided =
-      s.total_vertices != 0 && frac >= threshold_ ? high_ : low_;
-  count_decision(decided, s);
-  return decided;
+  return s.total_vertices != 0 && frac >= threshold_ ? high_ : low_;
 }
 
 std::string ActiveVertexScaling::name() const {
@@ -61,9 +43,7 @@ std::uint32_t HysteresisScaling::decide(const ScalingSignals& s) {
     if (!scaled_out_ && frac >= out_) scaled_out_ = true;
     else if (scaled_out_ && frac <= in_) scaled_out_ = false;
   }
-  const std::uint32_t decided = scaled_out_ ? high_ : low_;
-  count_decision(decided, s);
-  return decided;
+  return scaled_out_ ? high_ : low_;
 }
 
 std::string HysteresisScaling::name() const {
@@ -88,9 +68,7 @@ std::uint32_t MemoryPressureScaling::decide(const ScalingSignals& s) {
       static_cast<double>(s.max_worker_memory) / static_cast<double>(target_);
   if (!scaled_out_ && pressure >= out_) scaled_out_ = true;
   else if (scaled_out_ && pressure <= in_) scaled_out_ = false;
-  const std::uint32_t decided = scaled_out_ ? high_ : low_;
-  count_decision(decided, s);
-  return decided;
+  return scaled_out_ ? high_ : low_;
 }
 
 std::string MemoryPressureScaling::name() const {
@@ -113,10 +91,7 @@ std::uint32_t OracleScaling::decide(const ScalingSignals& s) {
   // The decision at the barrier before superstep s+1 uses that superstep's
   // recorded costs (the oracle knows the future — that is the point).
   const std::uint64_t next = s.superstep + 1;
-  const std::uint32_t decided =
-      next < times_low_.size() && times_high_[next] < times_low_[next] ? high_ : low_;
-  count_decision(decided, s);
-  return decided;
+  return next < times_low_.size() && times_high_[next] < times_low_[next] ? high_ : low_;
 }
 
 }  // namespace pregel::cloud

@@ -72,8 +72,6 @@ MigrationOutcome MigrationExecutor::execute(
     out.stall = retry_extra;
     out.bytes_moved = 0;
     out.vertices_moved = 0;
-    if (trace::counters_on())
-      trace::Tracer::instance().counter("engine.migration.aborts").add(1);
     return out;
   }
   if (out.bytes_moved == 0 && out.vertices_moved == 0) return out;
@@ -81,11 +79,6 @@ MigrationOutcome MigrationExecutor::execute(
   Bytes busiest = 0;
   for (const Bytes b : vm_bytes) busiest = std::max(busiest, b);
   out.stall = cost_.transfer_time(busiest, vm_) + cost_.params().queue_op_latency + retry_extra;
-  if (trace::counters_on()) {
-    trace::Tracer& tr = trace::Tracer::instance();
-    tr.counter("engine.migration.bytes").add(static_cast<std::uint64_t>(out.bytes_moved));
-    tr.counter("engine.migration.vertices").add(out.vertices_moved);
-  }
   return out;
 }
 

@@ -5,21 +5,9 @@
 #include <span>
 #include <stdexcept>
 
-#include "runtime/trace.hpp"
 #include "util/crc32c.hpp"
 
 namespace pregel::cloud {
-
-namespace {
-
-/// Registry handle cached once; after that an op costs one flag load plus
-/// one relaxed atomic add (these run on the control path every superstep).
-void count_queue_op() {
-  static trace::Counter& ops = trace::Tracer::instance().counter("cloud.queue.ops");
-  if (trace::counters_on()) ops.add(1);
-}
-
-}  // namespace
 
 std::optional<std::uint64_t> parse_prefixed_count(std::string_view body,
                                                   std::string_view prefix) {
@@ -58,7 +46,6 @@ bool verify_queue_message(const QueueMessage& m) noexcept {
 
 std::uint64_t AzureQueue::put(std::string body) {
   ++ops_;
-  count_queue_op();
   const std::uint64_t id = next_id_++;
   const std::uint32_t crc = queue_body_checksum(body);
   visible_.push_back({id, std::move(body), crc});
@@ -67,7 +54,6 @@ std::uint64_t AzureQueue::put(std::string body) {
 
 std::optional<QueueMessage> AzureQueue::get() {
   ++ops_;
-  count_queue_op();
   if (visible_.empty()) return std::nullopt;
   QueueMessage m = std::move(visible_.front());
   visible_.pop_front();
@@ -78,7 +64,6 @@ std::optional<QueueMessage> AzureQueue::get() {
 
 void AzureQueue::remove(std::uint64_t id) {
   ++ops_;
-  count_queue_op();
   if (inflight_.erase(id) == 0)
     throw std::logic_error("AzureQueue::remove: message not in flight");
 }

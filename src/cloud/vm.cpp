@@ -1,6 +1,5 @@
 #include "cloud/vm.hpp"
 
-#include "runtime/trace.hpp"
 #include "util/check.hpp"
 
 namespace pregel::cloud {
@@ -35,11 +34,6 @@ void CostMeter::charge(const VmSpec& vm, std::uint32_t count, Seconds duration) 
   const Seconds vmsec = duration * count;
   vm_seconds_ += vmsec;
   usd_ += vmsec / 3600.0 * vm.price_per_hour;
-  if (trace::counters_on()) {
-    trace::Tracer& t = trace::Tracer::instance();
-    t.counter("cloud.meter.charges").add(1);
-    t.counter("cloud.meter.vm_microseconds").add(static_cast<std::uint64_t>(vmsec * 1e6));
-  }
 }
 
 }  // namespace pregel::cloud

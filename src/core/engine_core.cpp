@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <limits>
+#include <sstream>
+#include <type_traits>
 #include <unordered_set>
+#include <variant>
 
+#include "runtime/metric_fields.hpp"
 #include "runtime/trace.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -444,7 +449,6 @@ bool EngineCore::finalize_timing(SuperstepMetrics& sm) {
       vm_load[i].memory_peak -= spill;
       ++m.governor_spills;
       m.governor_spill_bytes += spill;
-      trace::add("engine.governor.spills", 1);
     }
   }
 
@@ -588,53 +592,47 @@ bool EngineCore::finalize_timing(SuperstepMetrics& sm) {
 }
 
 /// Observability hook, called once per superstep after its modeled timing
-/// is final. Rolls the superstep's totals into the perf-counter registry
-/// and draws the modeled cluster on the virtual trace track: one busy span
-/// and one barrier-wait span per worker VM in simulated time (the paper's
-/// Figures 9/12 view), plus counter tracks for message traffic, active
-/// vertices, and peak memory. Pure observation — reads the finished
-/// metrics, writes only trace buffers, so results are unchanged whether
-/// tracing is on or off.
+/// is final. Draws the modeled cluster on the virtual trace tracks: one busy
+/// span and one barrier-wait span per worker VM in simulated time (the
+/// paper's Figures 9/12 view), the busy span carrying the worker's modeled
+/// kWorkerFields rows, plus one counter track per modeled kSuperstepFields
+/// row. Host-only rows (steals) stay off the modeled cluster. Pure
+/// observation — reads the finished metrics, writes only trace buffers, so
+/// results are unchanged whether tracing is on or off.
 void EngineCore::trace_superstep(const SuperstepMetrics& sm, Seconds total_time_after) {
   trace::Tracer& t = trace::Tracer::instance();
   virtual_now_us_ = total_time_after * 1e6;
-  if (t.counters_on()) {
-    std::uint64_t local = 0, remote = 0, bytes = 0, vertices = 0;
-    for (const WorkerStepMetrics& wm : sm.workers) {
-      local += wm.messages_sent_local;
-      remote += wm.messages_sent_remote;
-      bytes += wm.bytes_sent_remote;
-      vertices += wm.vertices_computed;
-    }
-    t.counter("engine.supersteps").add(1);
-    t.counter("engine.messages.local").add(local);
-    t.counter("engine.messages.remote").add(remote);
-    t.counter("engine.bytes.remote").add(bytes);
-    t.counter("engine.vertices.computed").add(vertices);
-    if (sm.steals > 0) t.counter("engine.steals").add(sm.steals);
-    if (sm.pull_mode) t.counter("engine.pull.supersteps").add(1);
-  }
   if (!t.spans_on()) return;
   const double end_us = total_time_after * 1e6;
   const double start_us = end_us - sm.span * 1e6;
   for (std::uint32_t w = 0; w < sm.workers.size(); ++w) {
     const WorkerStepMetrics& wm = sm.workers[w];
     t.name_virtual_track(w, "worker VM " + std::to_string(w));
+    std::ostringstream args;
+    JsonWriter j(args);
+    j.begin_object();
+    j.key("superstep").value(std::uint64_t{sm.superstep});
+    for (const auto& f : kWorkerFields) {
+      if (f.coverage != Coverage::modeled) continue;
+      j.key(f.name);
+      std::visit([&j](auto x) { j.value(x); }, f.read(wm, w));
+    }
+    j.end_object();
     const double busy_us = wm.busy_time() * 1e6;
-    std::string args = "{\"superstep\":" + std::to_string(sm.superstep) +
-                       ",\"vertices\":" + std::to_string(wm.vertices_computed) +
-                       ",\"messages_sent\":" + std::to_string(wm.messages_sent_total()) +
-                       ",\"memory_peak\":" + std::to_string(wm.memory_peak) + "}";
-    t.virtual_complete("compute+network", "modeled", w, start_us, busy_us, std::move(args));
+    t.virtual_complete("compute+network", "modeled", w, start_us, busy_us, args.str());
     if (wm.barrier_wait > 0.0)
       t.virtual_complete("barrier wait", "modeled", w, start_us + busy_us,
                          wm.barrier_wait * 1e6);
   }
-  t.virtual_counter("messages per superstep", start_us,
-                    static_cast<double>(sm.messages_sent_total()));
-  t.virtual_counter("active vertices", start_us, static_cast<double>(sm.active_vertices));
-  t.virtual_counter("max worker memory", start_us,
-                    static_cast<double>(sm.max_worker_memory()));
+  for (const auto& f : kSuperstepFields) {
+    if (f.coverage != Coverage::modeled) continue;
+    std::visit(
+        [&](auto x) {
+          if constexpr (!std::is_same_v<decltype(x), std::string_view>)
+            t.virtual_counter(std::string(f.name), start_us, static_cast<double>(x));
+        },
+        f.read(sm));
+  }
 }
 
 // ---- placement and memory baselines -------------------------------------------
@@ -710,7 +708,6 @@ void EngineCore::apply_scaling_decision() {
                 "{\"superstep\":" + std::to_string(superstep_) +
                     ",\"from\":" + std::to_string(workers_now_) +
                     ",\"to\":" + std::to_string(decided) + "}");
-  trace::add("engine.scale_events", 1);
   // New VM set: fall back to the default layout; the placement policy (if
   // any) refines it with fresh load data. With the migration subsystem
   // wired, the partition redistribution rides the modeled transfer planes
@@ -803,7 +800,6 @@ void EngineCore::maybe_scale_in() {
   ++metrics().scale_ins;
   scale_in_quiet_ = 0;
   scale_in_cooldown_ = si.cooldown;
-  trace::add("engine.scale_ins", 1);
   if (trace::spans_on())
     trace::mark("scale.in", "cloud", virtual_now_us_,
                 "{\"superstep\":" + std::to_string(superstep_) +
@@ -829,7 +825,6 @@ void EngineCore::maybe_initiate_swath(bool at_startup) {
     // roots still pending.
     if (governor_.veto_initiation() && outstanding_count() > 0 && any_pending_activity()) {
       ++metrics().governor_vetoes;
-      trace::add("engine.governor.vetoes", 1);
       if (trace::spans_on())
         trace::mark("governor.veto", "governor", virtual_now_us_,
                     "{\"superstep\":" + std::to_string(superstep_) +
@@ -864,7 +859,6 @@ void EngineCore::maybe_initiate_swath(bool at_startup) {
     const std::uint32_t clamped = governor_.clamp_swath_size(size);
     if (clamped < size) {
       ++metrics().governor_swath_clamps;
-      trace::add("engine.governor.clamps", 1);
       if (trace::spans_on())
         trace::mark("governor.clamp", "governor", virtual_now_us_,
                     "{\"superstep\":" + std::to_string(superstep_) +
@@ -902,7 +896,6 @@ void EngineCore::maybe_initiate_swath(bool at_startup) {
                     ",\"baseline_memory\":" + std::to_string(baseline_memory_) +
                     ",\"memory_target\":" + std::to_string(opts_.swath.memory_target) + "}");
   }
-  trace::add("engine.swaths", 1);
   swath_.supersteps_since_initiation = 0;
   swath_.peak_memory_since_initiation = 0;
   peak_spillable_since_initiation_ = 0;
@@ -925,15 +918,6 @@ cloud::RetryOutcome EngineCore::control_op(cloud::FaultKind kind) {
     m.queue_corruptions += out.corruptions;
   else
     m.blob_corruptions += out.corruptions;
-  if (trace::counters_on()) {
-    trace::Tracer& t = trace::Tracer::instance();
-    if (out.faults > 0) t.counter("engine.faults.injected").add(out.faults);
-    if (out.attempts > 1) t.counter("engine.retries").add(out.attempts - 1);
-    if (out.corruptions > 0)
-      t.counter(kind == cloud::FaultKind::kQueueOp ? "engine.queue.corruptions"
-                                                   : "engine.blob.corruptions")
-          .add(out.corruptions);
-  }
   return out;
 }
 
@@ -1026,7 +1010,6 @@ void EngineCore::manager_failover() {
   pending_retry_latency_ += t;
   ++metrics().manager_failovers;
   metrics().manager_failover_time += t;
-  trace::add("engine.manager.failovers", 1);
 }
 
 void EngineCore::control_superstep_end(const SuperstepMetrics& sm) {
@@ -1060,8 +1043,6 @@ void EngineCore::control_superstep_end(const SuperstepMetrics& sm) {
   const std::uint64_t extra_reads = stats.duplicates + stats.fenced + stats.malformed;
   if (extra_reads > 0)
     pending_retry_latency_ += static_cast<double>(extra_reads) * cost_.params().queue_op_latency;
-  if (trace::counters_on() && stats.duplicates > 0)
-    trace::add("engine.barrier.duplicates", stats.duplicates);
   if (!stats.missing.empty()) {
     // A worker that never checked in: indistinguishable from a slow one
     // until the detection timeout lapses. Charge the wait and let the
@@ -1207,16 +1188,12 @@ void EngineCore::maybe_checkpoint() {
         ++m.checkpoint_deltas;
         m.checkpoint_delta_bytes += out.bytes_written;
       }
-      trace::add("engine.checkpoints", 1);
-      trace::add(out.is_base ? "engine.checkpoint.base.bytes" : "engine.checkpoint.delta.bytes",
-                 out.bytes_written);
       // Retention GC rode along with the publish: price its blob deletes
       // as control ops folded into the checkpoint charge.
       if (out.gc_delete_ops > 0) {
         m.ckpt_gc_generations += out.gc_generations;
         m.ckpt_gc_delete_ops += out.gc_delete_ops;
         t += static_cast<double>(out.gc_delete_ops) * cost_.params().queue_op_latency;
-        trace::add("engine.checkpoint.gc", out.gc_generations);
       }
       if (cluster_.availability_zones > 1 && cluster_.replicate_checkpoints_across_zones) {
         // Cross-zone replica: each worker writes a second copy to a blob
@@ -1229,13 +1206,11 @@ void EngineCore::maybe_checkpoint() {
         if (replica.success && ckpt_.complete_replica_round(faults_)) {
           t += cost_.transfer_time(biggest, cluster_.vm);
           m.checkpoint_replicas_written += workers_now_;
-          trace::add("engine.checkpoint.replicas", workers_now_);
         } else {
           // Replica round abandoned: the primary generation published
           // fine, so this is not a checkpoint failure — it only thins the
           // zone-outage safety margin.
           ++m.checkpoint_replica_failures;
-          trace::add("engine.checkpoint.replica_failures", 1);
         }
       }
     } else {
@@ -1243,7 +1218,6 @@ void EngineCore::maybe_checkpoint() {
       // stays newest, and the dirty sets keep accumulating toward it.
       ++m.checkpoint_failures;
       ++m.checkpoint_torn_manifests;
-      trace::add("engine.checkpoint.torn_manifests", 1);
     }
   } else {
     ++m.checkpoint_failures;
@@ -1266,7 +1240,6 @@ void EngineCore::maybe_scrub() {
   const std::uint32_t repairs = out.repairs + out.manifest_repairs;
   m.scrub_repairs += repairs;
   if (repairs == 0) return;
-  trace::add("engine.scrub.repairs", repairs);
   charge_stall(m.scrub_time,
                cost_.transfer_time(out.repaired_bytes, cluster_.vm) +
                    static_cast<double>(repairs) * cost_.params().queue_op_latency);
@@ -1310,7 +1283,6 @@ EngineCore::FailureEvent EngineCore::collect_failures() {
   if (event.zone) {
     // One domain per barrier is correlation enough.
     ++metrics().zone_outages;
-    trace::add("engine.zone.outages", 1);
     for (std::uint32_t vm : zones_.vms_in_zone(*event.zone, workers_now_))
       event.dead.push_back(vm);
   }
@@ -1417,7 +1389,6 @@ EngineCore::RecoveryAssessment EngineCore::assess_recovery(const FailureEvent& e
     ++m.checkpoint_fallbacks;
     m.checkpoint_fallback_depth_max =
         std::max(m.checkpoint_fallback_depth_max, a.plan->fallback_depth);
-    trace::add("engine.checkpoint.fallbacks", 1);
   }
   return a;
 }
@@ -1464,7 +1435,6 @@ void EngineCore::recover_from_checkpoint(const cloud::CkptRestorePlan& plan,
                                          const std::vector<std::uint32_t>& dead, bool confined) {
   trace::Span span(confined ? "engine.recover.confined" : "engine.recover.full", "recovery",
                    confined ? "vms" : "superstep", confined ? dead.size() : superstep_);
-  trace::add("engine.recoveries", 1);
   ++failure_epoch_;
   // A failure during an active confined replay falls back to the full
   // rollback: every partition reloads, so the replay-in-progress
@@ -1599,7 +1569,6 @@ void EngineCore::shed_newest_roots() {
   governor_.on_shed();
   ++metrics().governor_sheds;
   metrics().governor_roots_parked += k;
-  trace::add("engine.governor.sheds", 1);
   if (trace::spans_on())
     trace::mark("governor.shed", "governor", virtual_now_us_,
                 "{\"superstep\":" + std::to_string(superstep_) +
@@ -1624,7 +1593,6 @@ void EngineCore::governed_oom_restore() {
                            biggest_checkpoint_bytes(), 0.0));
   governor_.on_escalated(offending);
   ++metrics().governed_oom_episodes;
-  trace::add("engine.governor.escalations", 1);
   if (trace::spans_on())
     trace::mark("governor.escalate", "governor", virtual_now_us_,
                 "{\"superstep\":" + std::to_string(superstep_) +
@@ -1643,7 +1611,6 @@ void EngineCore::governor_scale_out() {
   resize_fleet(workers_now_ + 1, /*charge_moves=*/true, "governor-scale-out");
   governor_.on_scale_out();
   ++metrics().governor_scale_outs;
-  trace::add("engine.governor.scale_outs", 1);
   if (trace::spans_on())
     trace::mark("governor.scale_out", "governor", virtual_now_us_,
                 "{\"superstep\":" + std::to_string(superstep_) +

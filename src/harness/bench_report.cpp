@@ -5,7 +5,6 @@
 #include <iostream>
 #include <stdexcept>
 
-#include "runtime/trace.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 
@@ -42,20 +41,6 @@ void BenchReport::set_series_counter(const std::string& name, const std::string&
       return;
     }
   counters.emplace_back(key, value);
-}
-
-void BenchReport::set_counter(const std::string& key, double value) {
-  for (auto& [k, v] : counters_)
-    if (k == key) {
-      v = value;
-      return;
-    }
-  counters_.emplace_back(key, value);
-}
-
-void BenchReport::include_trace_counters() {
-  for (const auto& [name, value] : trace::Tracer::instance().counter_totals())
-    set_counter(name, static_cast<double>(value));
 }
 
 void BenchReport::write(std::ostream& out) const {
@@ -95,9 +80,6 @@ void BenchReport::write(std::ostream& out) const {
     w.end_object();
   }
   w.end_array();
-  w.key("counters").begin_object();
-  for (const auto& [k, v] : counters_) w.key(k).value(v);
-  w.end_object();
   w.end_object();
   out << "\n";
 }

@@ -1,7 +1,7 @@
 // Machine-readable bench reports: the repo's perf trajectory.
 //
-// Every bench binary can fold its wall-clock repetitions and counter totals
-// into a BENCH_<name>.json file (schema pregelpp-bench-v1) next to its CSV.
+// Every bench binary can fold its wall-clock repetitions and per-series
+// counters into a BENCH_<name>.json file (schema pregelpp-bench-v1) next to its CSV.
 // CI's bench-smoke job archives these per commit and gates on regressions,
 // which is what makes the ROADMAP's "fast as the hardware allows" goal
 // enforceable instead of aspirational.
@@ -17,8 +17,7 @@
 //         "wall_seconds": { "median": s, "p90": s, "min": s, "max": s,
 //                           "mean": s, "samples": [s, ...] },
 //         "counters": { "<key>": value, ... } }
-//     ],
-//     "counters": { "<perf counter>": total, ... }
+//     ]
 //   }
 #pragma once
 
@@ -46,13 +45,6 @@ class BenchReport {
   void set_series_counter(const std::string& series, const std::string& key,
                           double value);
 
-  /// Attach a report-level counter total.
-  void set_counter(const std::string& key, double value);
-
-  /// Fold the process tracer's perf-counter totals (messages, bytes, queue
-  /// ops, retries...) into the report-level counters.
-  void include_trace_counters();
-
   void write(std::ostream& out) const;
   /// Write to `path` (creating parent directories) and log the location.
   void write_file(const std::string& path) const;
@@ -67,7 +59,6 @@ class BenchReport {
 
   std::string name_;
   std::vector<Series> series_;
-  std::vector<std::pair<std::string, double>> counters_;
 };
 
 }  // namespace pregel::harness

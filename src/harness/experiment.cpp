@@ -43,22 +43,13 @@ void flush_trace() {
   namespace fs = std::filesystem;
   const fs::path trace_path(g_trace_path);
   if (trace_path.has_parent_path()) fs::create_directories(trace_path.parent_path());
-  {
-    std::ofstream out(trace_path);
-    if (!out) {
-      std::cerr << "[trace] cannot open " << g_trace_path << "\n";
-      return;
-    }
-    t.write_chrome_trace(out);
+  std::ofstream out(trace_path);
+  if (!out) {
+    std::cerr << "[trace] cannot open " << g_trace_path << "\n";
+    return;
   }
-  fs::path counters_path = trace_path;
-  counters_path.replace_filename(trace_path.stem().string() + "_counters.json");
-  {
-    std::ofstream out(counters_path);
-    if (out) t.write_counter_summary(out);
-  }
-  std::cout << "[trace] " << trace_path.string() << " (" << t.event_count()
-            << " events; counters in " << counters_path.string() << ")\n";
+  t.write_chrome_trace(out);
+  std::cout << "[trace] " << trace_path.string() << " (" << t.event_count() << " events)\n";
 }
 
 std::string program_stem(const char* argv0) {
@@ -113,7 +104,6 @@ void init(int& argc, char** argv) {
   const std::string name = program_stem(argv[0]);
   trace::TraceConfig cfg;
   cfg.spans = true;
-  cfg.counters = true;
   cfg.process_name = name;
   trace::Tracer::instance().configure(cfg);
   g_trace_path = trace_path.empty()

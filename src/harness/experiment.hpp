@@ -41,10 +41,9 @@ const ExperimentEnv& env();
 /// Shared bench-driver entry point; call first in main(), before env() or
 /// dataset(). Strips the flags every driver understands from argv:
 ///   --smoke          CI smoke mode (see ExperimentEnv::smoke)
-///   --trace[=path]   record a Chrome trace-event timeline + counter summary,
-///                    written at exit to `path` (default
-///                    results_dir/TRACE_<program>.json, counters alongside
-///                    as *_counters.json). PREGEL_TRACE=1|path is equivalent.
+///   --trace[=path]   record a Chrome trace-event timeline, written at exit
+///                    to `path` (default results_dir/TRACE_<program>.json).
+///                    PREGEL_TRACE=1|path is equivalent.
 /// Unrecognized arguments are left in place for the driver.
 void init(int& argc, char** argv);
 

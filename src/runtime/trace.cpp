@@ -1,7 +1,5 @@
 #include "runtime/trace.hpp"
 
-#include <algorithm>
-
 #include "util/json.hpp"
 
 namespace pregel::trace {
@@ -21,7 +19,6 @@ void Tracer::configure(const TraceConfig& cfg) {
     epoch_ = std::chrono::steady_clock::now();
   }
   spans_.store(cfg.spans, std::memory_order_relaxed);
-  counters_.store(cfg.counters, std::memory_order_relaxed);
 }
 
 std::uint64_t Tracer::now_ns() const noexcept {
@@ -55,7 +52,6 @@ void Tracer::complete(std::string name, const char* cat, std::uint64_t start_ns,
   e.phase = 'X';
   e.ts_ns = start_ns;
   e.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
-  e.counter_value = 0;
   e.args = std::move(args_json);
   local_buffer().events.push_back(std::move(e));
 }
@@ -68,20 +64,7 @@ void Tracer::instant(std::string name, const char* cat, std::string args_json) {
   e.phase = 'i';
   e.ts_ns = now_ns();
   e.dur_ns = 0;
-  e.counter_value = 0;
   e.args = std::move(args_json);
-  local_buffer().events.push_back(std::move(e));
-}
-
-void Tracer::counter_sample(std::string name, std::uint64_t value) {
-  if (!spans_on()) return;
-  Event e;
-  e.name = std::move(name);
-  e.cat = "counter";
-  e.phase = 'C';
-  e.ts_ns = now_ns();
-  e.dur_ns = 0;
-  e.counter_value = value;
   local_buffer().events.push_back(std::move(e));
 }
 
@@ -120,26 +103,6 @@ void Tracer::name_virtual_track(std::uint32_t track, std::string name) {
   virtual_track_names_.emplace_back(track, std::move(name));
 }
 
-Counter& Tracer::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& c : counters_store_)
-    if (c->name_ == name) return *c;
-  counters_store_.push_back(std::unique_ptr<Counter>(new Counter(name)));
-  return *counters_store_.back();
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> Tracer::counter_totals() const {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(counters_store_.size());
-    for (const auto& c : counters_store_)
-      if (c->value() != 0) out.emplace_back(c->name_, c->value());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 void Tracer::write_event_json(std::ostream& out, const Event& e, std::uint32_t tid,
                               bool& first) const {
   if (!first) out << ",\n";
@@ -155,13 +118,7 @@ void Tracer::write_event_json(std::ostream& out, const Event& e, std::uint32_t t
   w.key("ts").value(static_cast<double>(e.ts_ns) / 1000.0);
   if (e.phase == 'X') w.key("dur").value(static_cast<double>(e.dur_ns) / 1000.0);
   if (e.phase == 'i') w.key("s").value("t");
-  if (e.phase == 'C') {
-    w.key("args").begin_object();
-    w.key("value").value(e.counter_value);
-    w.end_object();
-  } else if (!e.args.empty()) {
-    w.key("args").raw(e.args);
-  }
+  if (!e.args.empty()) w.key("args").raw(e.args);
   w.end_object();
 }
 
@@ -221,18 +178,6 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
   out << "\n]}\n";
 }
 
-void Tracer::write_counter_summary(std::ostream& out) const {
-  const auto totals = counter_totals();
-  JsonWriter w(out);
-  w.begin_object();
-  w.key("schema").value("pregelpp-counters-v1");
-  w.key("counters").begin_object();
-  for (const auto& [name, value] : totals) w.key(name).value(value);
-  w.end_object();
-  w.end_object();
-  out << "\n";
-}
-
 std::size_t Tracer::event_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = virtual_events_.size();
@@ -245,7 +190,6 @@ void Tracer::reset() {
   for (auto& buf : buffers_) buf->events.clear();
   virtual_events_.clear();
   virtual_track_names_.clear();
-  for (auto& c : counters_store_) c->value_.store(0, std::memory_order_relaxed);
 }
 
 void Span::start(const char* name, const char* cat) {

@@ -1,69 +1,16 @@
-// Checkpoint/blob integrity (CRC32C verification, torn and corrupt reads),
-// the kBlobCorrupt fault class, and the memory-pressure scaling policy.
+// The kBlobCorrupt fault class, the spill round-trip price, and the
+// memory-pressure scaling policy.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <stdexcept>
-#include <string_view>
 #include <vector>
 
-#include "cloud/blob.hpp"
 #include "cloud/cost_model.hpp"
 #include "cloud/elasticity.hpp"
 #include "cloud/faults.hpp"
-#include "util/crc32c.hpp"
 
 namespace pregel::cloud {
 namespace {
-
-std::vector<std::byte> bytes_of(std::string_view s) {
-  std::vector<std::byte> v(s.size());
-  std::memcpy(v.data(), s.data(), s.size());
-  return v;
-}
-
-TEST(BlobIntegrity, PutGetRoundTripVerifies) {
-  BlobStore store;
-  const auto payload = bytes_of("superstep 12 checkpoint, worker 3");
-  store.put("ckpt", payload);
-  EXPECT_EQ(store.get("ckpt"), payload);
-  EXPECT_EQ(store.checksum_of("ckpt"), util::crc32c(payload));
-}
-
-TEST(BlobIntegrity, CorruptReadThrows) {
-  BlobStore store;
-  store.put("ckpt", bytes_of("graph partition payload"));
-  store.corrupt("ckpt", 5);
-  EXPECT_THROW(store.get("ckpt"), BlobCorruptError);
-  // Un-flipping the byte restores integrity: detection is pure verification,
-  // not a sticky poisoned flag.
-  store.corrupt("ckpt", 5);
-  EXPECT_NO_THROW(store.get("ckpt"));
-}
-
-TEST(BlobIntegrity, TornWriteThrows) {
-  BlobStore store;
-  const auto payload = bytes_of("a blob whose tail never landed");
-  store.put("ckpt", payload);
-  store.tear("ckpt", payload.size() / 2);
-  EXPECT_EQ(store.size_of("ckpt"), payload.size() / 2);
-  EXPECT_THROW(store.get("ckpt"), BlobCorruptError);
-}
-
-TEST(BlobIntegrity, OverwriteRefreshesChecksum) {
-  BlobStore store;
-  store.put("ckpt", bytes_of("epoch 1"));
-  store.corrupt("ckpt", 0);
-  store.put("ckpt", bytes_of("epoch 2"));  // rewrite heals the object
-  EXPECT_NO_THROW(store.get("ckpt"));
-  EXPECT_EQ(store.checksum_of("ckpt"), util::crc32c(bytes_of("epoch 2")));
-}
-
-TEST(BlobIntegrity, MissingBlobStillOutOfRange) {
-  BlobStore store;
-  EXPECT_THROW(store.get("nope"), std::out_of_range);
-  EXPECT_THROW(store.checksum_of("nope"), std::out_of_range);
-}
 
 TEST(FaultCorruption, ValidateRejectsOutOfRangeRate) {
   FaultPlan plan;

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "cloud/blob.hpp"
 #include "cloud/cost_model.hpp"
 #include "cloud/elasticity.hpp"
 #include "cloud/faults.hpp"
@@ -493,26 +492,6 @@ TEST(QueueService, NamedQueuesIndependent) {
   EXPECT_EQ(s.queue("barrier").visible_count(), 0u);
   EXPECT_EQ(s.queue("step").visible_count(), 1u);
   EXPECT_GE(s.total_ops(), 1u);
-}
-
-TEST(BlobStore, PutGetRemove) {
-  BlobStore b;
-  b.put("g", {std::byte{1}, std::byte{2}});
-  EXPECT_TRUE(b.exists("g"));
-  EXPECT_EQ(b.get("g").size(), 2u);
-  EXPECT_EQ(b.size_of("g"), 2u);
-  b.remove("g");
-  EXPECT_FALSE(b.exists("g"));
-  EXPECT_THROW(b.get("g"), std::out_of_range);
-  EXPECT_THROW(b.size_of("g"), std::out_of_range);
-}
-
-TEST(BlobStore, TransferTimeLinearInSize) {
-  BlobStore b(mbps(400), 0.05);
-  const Seconds t1 = b.transfer_time(50_MiB);
-  const Seconds t2 = b.transfer_time(100_MiB);
-  EXPECT_NEAR(t2 - 0.05, 2.0 * (t1 - 0.05), 1e-9);
-  EXPECT_THROW(BlobStore(0.0), std::logic_error);
 }
 
 TEST(FixedScaling, AlwaysSame) {

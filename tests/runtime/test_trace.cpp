@@ -1,8 +1,7 @@
-// Round-trip tests of the tracing layer's exporters: the Chrome trace JSON
-// must parse, per-thread timelines must be time-ordered, thread ids must be
-// stable across batches, and the counter summary must reflect the registry.
-// The JSON is checked with a small recursive-descent parser kept inside the
-// test (no external JSON dependency in the repo).
+// Round-trip tests of the tracing layer's exporter: the Chrome trace JSON
+// must parse, per-thread timelines must be time-ordered, and thread ids must
+// be stable across batches. The JSON is checked with the small parser in
+// tests/support/json_parser.hpp (no external JSON dependency in the repo).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,171 +9,16 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <variant>
-#include <vector>
 
 #include "runtime/trace.hpp"
+#include "support/json_parser.hpp"
 
 namespace pregel {
 namespace {
 
-// ---- minimal JSON parser ---------------------------------------------------
-
-struct JsonValue;
-using JsonArray = std::vector<JsonValue>;
-using JsonObject = std::map<std::string, JsonValue>;
-
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> v;
-
-  bool is_object() const { return std::holds_alternative<JsonObject>(v); }
-  bool is_array() const { return std::holds_alternative<JsonArray>(v); }
-  const JsonObject& object() const { return std::get<JsonObject>(v); }
-  const JsonArray& array() const { return std::get<JsonArray>(v); }
-  const std::string& str() const { return std::get<std::string>(v); }
-  double number() const { return std::get<double>(v); }
-
-  bool has(const std::string& key) const {
-    return is_object() && object().count(key) > 0;
-  }
-  const JsonValue& at(const std::string& key) const { return object().at(key); }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) {
-    throw std::runtime_error("json parse error at " + std::to_string(pos_) + ": " + why);
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\n' ||
-                                s_[pos_] == '\t' || s_[pos_] == '\r'))
-      ++pos_;
-  }
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end");
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  bool consume(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return JsonValue{string()};
-      case 't':
-        literal("true");
-        return JsonValue{true};
-      case 'f':
-        literal("false");
-        return JsonValue{false};
-      case 'n':
-        literal("null");
-        return JsonValue{nullptr};
-      default: return JsonValue{number()};
-    }
-  }
-  void literal(const char* lit) {
-    for (const char* p = lit; *p != '\0'; ++p) expect(*p);
-  }
-  JsonValue object() {
-    expect('{');
-    JsonObject out;
-    skip_ws();
-    if (consume('}')) return JsonValue{out};
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      out.emplace(std::move(key), value());
-      skip_ws();
-      if (consume('}')) return JsonValue{out};
-      expect(',');
-    }
-  }
-  JsonValue array() {
-    expect('[');
-    JsonArray out;
-    skip_ws();
-    if (consume(']')) return JsonValue{out};
-    while (true) {
-      out.push_back(value());
-      skip_ws();
-      if (consume(']')) return JsonValue{out};
-      expect(',');
-    }
-  }
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) fail("bad escape");
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) fail("bad \\u escape");
-            const unsigned code = static_cast<unsigned>(
-                std::stoul(s_.substr(pos_, 4), nullptr, 16));
-            pos_ += 4;
-            // The exporter only emits \u00XX for control bytes.
-            out += static_cast<char>(code);
-            break;
-          }
-          default: fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-  }
-  double number() {
-    const std::size_t start = pos_;
-    if (consume('-')) {
-    }
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) fail("bad number");
-    return std::stod(s_.substr(start, pos_ - start));
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+using test::JsonArray;
+using test::JsonParser;
+using test::JsonValue;
 
 // ---- fixtures --------------------------------------------------------------
 
@@ -183,7 +27,6 @@ class TraceTest : public ::testing::Test {
   void SetUp() override {
     trace::TraceConfig cfg;
     cfg.spans = true;
-    cfg.counters = true;
     cfg.process_name = "test_trace";
     trace::Tracer::instance().configure(cfg);
   }
@@ -204,8 +47,6 @@ TEST_F(TraceTest, ChromeExportIsValidJsonWithExpectedShape) {
     trace::Span inner("inner", "test", "part", 7);
   }
   trace::Tracer::instance().instant("tick", "test", "{\"superstep\":3}");
-  trace::add("test.counter", 41);
-  trace::add("test.counter", 1);
 
   const JsonValue doc = export_trace();
   ASSERT_TRUE(doc.is_object());
@@ -323,29 +164,6 @@ TEST_F(TraceTest, VirtualTrackEventsCarryExplicitPlacement) {
   EXPECT_TRUE(saw_counter);
 }
 
-TEST_F(TraceTest, CounterSummaryRoundTrips) {
-  trace::Tracer& t = trace::Tracer::instance();
-  t.counter("engine.messages").add(123);
-  t.counter("engine.messages").add(77);
-  t.counter("cloud.queue.ops").add(9);
-  t.counter("never.incremented");  // zero counters are omitted from export
-
-  std::ostringstream out;
-  t.write_counter_summary(out);
-  const JsonValue doc = JsonParser(out.str()).parse();
-  ASSERT_TRUE(doc.has("counters"));
-  const JsonObject& counters = doc.at("counters").object();
-  ASSERT_EQ(counters.count("engine.messages"), 1u);
-  EXPECT_EQ(counters.at("engine.messages").number(), 200.0);
-  EXPECT_EQ(counters.at("cloud.queue.ops").number(), 9.0);
-  EXPECT_EQ(counters.count("never.incremented"), 0u);
-
-  const auto totals = t.counter_totals();
-  ASSERT_EQ(totals.size(), 2u);  // sorted, non-zero only
-  EXPECT_EQ(totals[0].first, "cloud.queue.ops");
-  EXPECT_EQ(totals[1].first, "engine.messages");
-}
-
 TEST_F(TraceTest, NamesNeedingEscapesStayValidJson) {
   trace::Tracer::instance().instant("quote\" backslash\\ newline\n tab\t", "test");
   const JsonValue doc = export_trace();
@@ -360,13 +178,8 @@ TEST_F(TraceTest, NamesNeedingEscapesStayValidJson) {
 TEST(TraceDisabled, RecordsNothingAndReportsOff) {
   trace::Tracer::instance().configure(trace::TraceConfig{});
   EXPECT_FALSE(trace::spans_on());
-  EXPECT_FALSE(trace::counters_on());
-  {
-    trace::Span s("ignored", "test");
-    trace::add("ignored.counter", 5);
-  }
+  { trace::Span s("ignored", "test"); }
   EXPECT_EQ(trace::Tracer::instance().event_count(), 0u);
-  EXPECT_TRUE(trace::Tracer::instance().counter_totals().empty());
 }
 
 }  // namespace
