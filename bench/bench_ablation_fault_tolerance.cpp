@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
   for (std::uint64_t interval : {2ull, 5ull, 10ull, 20ull, 40ull}) {
     ClusterConfig c = make_cluster(env(), 8, 8);
     c.checkpoint_interval = interval;
-    c.failure_rate = failure_rate;
-    c.failure_seed = env().seed + 3;
+    c.faults.vm_preemption_rate = failure_rate;
+    c.faults.seed = env().seed;
     // Like the RAM envelope, the recovery constants are scaled to analog
     // size: a job whose supersteps take tens of milliseconds would be
     // swamped by production-scale 30s/90s detection/reacquisition values.
@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
     for (RecoveryMode mode : {RecoveryMode::kFullRollback, RecoveryMode::kConfined}) {
       ClusterConfig c = make_cluster(env(), 8, 8);
       c.checkpoint_interval = 5;
-      c.failure_rate = rate;
-      c.failure_seed = env().seed + 3;
+      c.faults.vm_preemption_rate = rate;
+      c.faults.seed = env().seed;
       c.failure_detection_time = 1.0;
       c.vm_reacquisition_time = 2.0;
       c.recovery_mode = mode;

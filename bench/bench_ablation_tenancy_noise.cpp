@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
     double quiet = 0.0;
     for (double sigma : {0.0, 0.1, 0.2, 0.4}) {
       ClusterConfig c = make_cluster(env(), w, w);
-      c.tenancy_sigma = sigma;
-      c.noise_seed = env().seed + 5;
+      c.faults.tenancy_sigma = sigma;
+      c.faults.seed = env().seed + 5;
       const auto r = run_pagerank(g, c, parts, iters);
       if (sigma == 0.0) quiet = r.metrics.total_time;
       rows.push_back({w, sigma, r.metrics.total_time / quiet, r.metrics.utilization()});

@@ -1,22 +1,27 @@
-// Transient-fault injection for the simulated cloud substrate.
+// Fault injection for the simulated cloud substrate.
 //
 // The paper runs Pregel.NET on real Azure, where the storage services are
 // "reliable" only through client-side retries, multi-tenant VMs straggle,
-// and workers can disappear mid-job. This module gives the simulation the
-// same weather: a seeded, deterministic FaultInjector draws transient
-// queue-operation failures, blob read/write failures, per-(VM, superstep)
-// straggler slowdowns, and spot-style VM preemptions, each with an
-// independently configurable rate and seed. A RetryPolicy (exponential
+// and workers can disappear mid-job. This module is the one source of that
+// weather: a seeded, deterministic FaultInjector draws transient
+// queue-operation failures, blob read/write failures, continuous
+// multi-tenancy slowdowns and episodic straggler slowdowns per (VM,
+// superstep), worker deaths, manager preemptions and zone outages, each
+// with an independently configurable rate. A RetryPolicy (exponential
 // backoff with decorrelated jitter, capped attempts, per-op deadline)
 // describes how the control plane masks the transient classes; the engine
 // charges the masked latency to the cost model and escalates exhausted
 // retries to worker failures.
 //
 // Every draw is a pure function of (seed, stream counter) or
-// (seed, vm, superstep[, epoch]), so identical configurations replay
-// identical fault sequences — experiments stay bit-reproducible.
+// (seed, vm, superstep[, epoch]), where each stream draws from one
+// FaultPlan::seed offset by a fixed per-stream tag, so identical
+// configurations replay identical fault sequences — experiments stay
+// bit-reproducible.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/units.hpp"
@@ -30,7 +35,8 @@ namespace pregel::cloud {
 /// fails (the data-plane hot path, not just recovery reads). kCkptTornWrite
 /// is a checkpoint-store write (data leg or manifest) that is acknowledged
 /// but lands torn — undetectable at write time, caught by CRC verification
-/// when the blob is next read (restore walk or scrub pass).
+/// when the blob is next read (restore walk or scrub pass). kQueueDuplicate
+/// is a barrier check-in whose remove() is lost, so the queue redelivers it.
 enum class FaultKind {
   kQueueOp,
   kBlobRead,
@@ -38,9 +44,12 @@ enum class FaultKind {
   kBlobCorrupt,
   kQueueCorrupt,
   kCkptTornWrite,
+  kQueueDuplicate,
 };
+inline constexpr std::size_t kFaultKinds = static_cast<std::size_t>(FaultKind::kQueueDuplicate) + 1;
 
-/// What goes wrong, how often, and under which seeds.
+/// Everything that goes wrong on the modeled cluster, how often, and under
+/// which seed.
 struct FaultPlan {
   /// Per-operation transient failure probabilities (retriable).
   double queue_op_failure_rate = 0.0;
@@ -69,15 +78,15 @@ struct FaultPlan {
   /// Probability that a stored checkpoint blob copy bit-rots at rest.
   /// Keyed by (publish serial, partition, copy, repair epoch) — call-order
   /// independent, so a restore walk and a scrub pass observe the same rot —
-  /// and drawn on the kBlobCorrupt seed (`corruption_seed`), since rot is
+  /// and drawn on the kBlobCorrupt stream's seed, since rot is
   /// detected by exactly the CRC32C verification that catches corrupt
   /// reads. A scrub repair bumps the copy's repair epoch and the rewritten
   /// blob redraws.
   double ckpt_rot_rate = 0.0;
 
-  /// Spot-style VM preemption probability per VM per superstep. A preempted
-  /// VM is a worker failure: the engine recovers from the last checkpoint
-  /// (or loses the job without one).
+  /// Worker-death (spot-style VM preemption) probability per VM per
+  /// superstep. A dead VM is a worker failure: the engine recovers from the
+  /// last checkpoint (or loses the job without one).
   double vm_preemption_rate = 0.0;
 
   /// Probability (per superstep, per manager epoch) that the job-manager
@@ -99,29 +108,23 @@ struct FaultPlan {
 
   /// Probability that a VM straggles in a given superstep, and the
   /// multiplicative slowdown applied to its compute/network time when it
-  /// does (multi-tenant noisy-neighbor episodes, distinct from the
-  /// continuous lognormal TenancyNoise).
+  /// does (multi-tenant noisy-neighbor episodes, on top of the continuous
+  /// tenancy noise below).
   double straggler_rate = 0.0;
   double straggler_slowdown = 4.0;
 
-  std::uint64_t queue_seed = 0xFA01;
-  std::uint64_t blob_seed = 0xFA02;
-  std::uint64_t preemption_seed = 0xFA03;
-  std::uint64_t straggler_seed = 0xFA04;
-  std::uint64_t corruption_seed = 0xFA05;
-  std::uint64_t queue_corruption_seed = 0xFA06;
-  std::uint64_t manager_seed = 0xFA07;
-  std::uint64_t zone_seed = 0xFA08;
-  std::uint64_t queue_duplicate_seed = 0xFA09;
-  std::uint64_t ckpt_seed = 0xFA0A;
+  /// Continuous multi-tenancy noise: every VM's compute/network time in
+  /// every superstep is scaled by a lognormal factor exp(sigma * z), clamped
+  /// at 1 from below (other tenants only slow a VM down). 0 = perfectly
+  /// deterministic timings; typical cloud variability is 0.1-0.3.
+  double tenancy_sigma = 0.0;
 
-  /// True when any retriable (queue/blob/corruption) rate is nonzero.
-  bool any_transient() const noexcept {
-    return queue_op_failure_rate > 0.0 || blob_read_failure_rate > 0.0 ||
-           blob_write_failure_rate > 0.0 || blob_corruption_rate > 0.0 ||
-           queue_corruption_rate > 0.0;
-  }
-  /// Throws std::logic_error on out-of-range rates or slowdown < 1.
+  /// The one seed behind every stream: stream k draws from seed + k, with
+  /// the tags fixed in faults.cpp.
+  std::uint64_t seed = 0xFA00;
+
+  /// Throws std::logic_error on out-of-range rates, negative sigma, or
+  /// slowdown < 1.
   void validate() const;
 };
 
@@ -150,11 +153,11 @@ struct RetryOutcome {
   Seconds extra_latency = 0.0;  ///< failed-attempt latency + backoff sleeps
 };
 
-/// Deterministic fault source. Queue/blob draws consume per-kind stream
-/// counters (call order within a kind is the replay key); preemption and
-/// straggler draws are keyed by (vm, superstep) so they are call-order
-/// independent, with preemption additionally keyed by the recovery epoch so
-/// a replayed superstep redraws instead of dying forever.
+/// Deterministic fault source. Queue/blob/duplicate/torn-write draws consume
+/// per-kind stream counters (call order within a kind is the replay key);
+/// preemption and slowdown draws are keyed by (vm, superstep) so they are
+/// call-order independent, with preemption additionally keyed by the
+/// recovery epoch so a replayed superstep redraws instead of dying forever.
 class FaultInjector {
  public:
   FaultInjector() = default;
@@ -168,7 +171,7 @@ class FaultInjector {
   /// zero-rate plan adds zero latency and perturbs nothing).
   RetryOutcome attempt(FaultKind kind, const RetryPolicy& retry, Seconds attempt_latency);
 
-  /// Spot preemption draw for `vm` at `superstep` in recovery `epoch`.
+  /// Worker-death draw for `vm` at `superstep` in recovery `epoch`.
   bool vm_preempted(std::uint32_t vm, std::uint64_t superstep,
                     std::uint64_t epoch) const noexcept;
 
@@ -184,9 +187,8 @@ class FaultInjector {
 
   /// Duplicate-delivery draw for one tallied barrier check-in: true when the
   /// remove() is lost and the message will be redelivered. Consumes the
-  /// dedicated duplicate stream counter; a zero rate draws nothing.
+  /// kQueueDuplicate stream counter; a zero rate draws nothing.
   bool next_duplicate() noexcept;
-  std::uint64_t duplicate_draws() const noexcept { return duplicate_draws_; }
 
   /// Torn-write draw for one checkpoint-store blob write (data leg,
   /// manifest, or replica leg). Consumes the kCkptTornWrite stream counter;
@@ -205,21 +207,20 @@ class FaultInjector {
   /// when the VM is not straggling.
   double straggler_factor(std::uint32_t vm, std::uint64_t superstep) const noexcept;
 
-  std::uint64_t draws(FaultKind kind) const noexcept;
+  /// Total slowdown (>= 1) of `vm` at `superstep`: the tenancy lognormal
+  /// times the straggler factor; exactly 1 when both are off.
+  double slowdown(std::uint32_t vm, std::uint64_t superstep) const noexcept;
+
+  std::uint64_t draws(FaultKind kind) const noexcept {
+    return draws_[static_cast<std::size_t>(kind)];
+  }
 
  private:
-  double rate_of(FaultKind kind) const noexcept;
   /// Uniform [0,1) from the kind's counter stream; advances the counter.
   double next_uniform(FaultKind kind) noexcept;
 
   FaultPlan plan_;
-  std::uint64_t queue_draws_ = 0;
-  std::uint64_t blob_read_draws_ = 0;
-  std::uint64_t blob_write_draws_ = 0;
-  std::uint64_t blob_corrupt_draws_ = 0;
-  std::uint64_t queue_corrupt_draws_ = 0;
-  std::uint64_t duplicate_draws_ = 0;
-  std::uint64_t ckpt_torn_draws_ = 0;
+  std::array<std::uint64_t, kFaultKinds> draws_{};
 };
 
 }  // namespace pregel::cloud

@@ -8,12 +8,6 @@
 
 namespace pregel::cloud {
 
-std::vector<std::uint32_t> ModuloPlacement::place(const PlacementSignals& signals) {
-  std::vector<std::uint32_t> out(signals.placement.size());
-  for (std::uint32_t p = 0; p < out.size(); ++p) out[p] = p % signals.workers;
-  return out;
-}
-
 GreedyRebalancePlacement::GreedyRebalancePlacement(double trigger, double ewma_alpha)
     : trigger_(trigger), alpha_(ewma_alpha) {
   PREGEL_CHECK_MSG(trigger >= 1.0, "GreedyRebalancePlacement: trigger must be >= 1");
@@ -36,7 +30,10 @@ std::vector<std::uint32_t> GreedyRebalancePlacement::place(const PlacementSignal
   const double worst = *std::max_element(vm_load.begin(), vm_load.end());
   if (worst / mean < trigger_) return s.placement;  // balanced enough
 
-  // LPT bin packing: heaviest partitions first onto the lightest VM.
+  const std::uint32_t zones =
+      s.zones > 1 && s.vm_zone.size() == s.workers ? s.zones : 1;
+  const auto zone_of = [&](std::uint32_t vm) { return zones == 1 ? 0u : s.vm_zone[vm]; };
+
   std::vector<std::size_t> order(parts);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
@@ -50,59 +47,14 @@ std::vector<std::uint32_t> GreedyRebalancePlacement::place(const PlacementSignal
     for (std::uint32_t v = 0; v < s.workers; ++v)
       bin[v] = mean_part * s.vm_stragglers[v];
   }
-  std::vector<std::uint32_t> out(parts, 0);
-  for (std::size_t p : order) {
-    const auto lightest = static_cast<std::uint32_t>(
-        std::min_element(bin.begin(), bin.end()) - bin.begin());
-    out[p] = lightest;
-    bin[lightest] += smoothed_[p].value();
-  }
-  ++rebalances_;
-  return out;
-}
-
-ZoneSpreadPlacement::ZoneSpreadPlacement(double trigger, double ewma_alpha)
-    : trigger_(trigger), alpha_(ewma_alpha) {
-  PREGEL_CHECK_MSG(trigger >= 1.0, "ZoneSpreadPlacement: trigger must be >= 1");
-  PREGEL_CHECK_MSG(ewma_alpha > 0.0 && ewma_alpha <= 1.0,
-                   "ZoneSpreadPlacement: alpha in (0,1]");
-}
-
-std::vector<std::uint32_t> ZoneSpreadPlacement::place(const PlacementSignals& s) {
-  const std::size_t parts = s.placement.size();
-  PREGEL_CHECK(s.partition_load.size() == parts);
-  if (smoothed_.size() != parts) smoothed_.assign(parts, Ewma(alpha_));
-  for (std::size_t p = 0; p < parts; ++p) smoothed_[p].add(s.partition_load[p]);
-
-  std::vector<double> vm_load(s.workers, 0.0);
-  for (std::size_t p = 0; p < parts; ++p) vm_load[s.placement[p]] += smoothed_[p].value();
-  const double total = std::accumulate(vm_load.begin(), vm_load.end(), 0.0);
-  if (total <= 0.0) return s.placement;
-  const double mean = total / s.workers;
-  const double worst = *std::max_element(vm_load.begin(), vm_load.end());
-  if (worst / mean < trigger_) return s.placement;  // balanced enough
-
-  const std::uint32_t zones =
-      s.zones > 1 && s.vm_zone.size() == s.workers ? s.zones : 1;
-  const auto zone_of = [&](std::uint32_t vm) { return zones == 1 ? 0u : s.vm_zone[vm]; };
-
-  std::vector<std::size_t> order(parts);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return smoothed_[a].value() > smoothed_[b].value();
-  });
-  std::vector<double> bin(s.workers, 0.0);
-  if (s.vm_stragglers.size() == s.workers) {
-    const double mean_part = total / static_cast<double>(parts);
-    for (std::uint32_t v = 0; v < s.workers; ++v)
-      bin[v] = mean_part * s.vm_stragglers[v];
-  }
-  // Two-level LPT: pick the lightest *zone* (by packed load), then the
-  // lightest VM inside it. Partition count per zone stays within one of
-  // even, and load imbalance across zones is bounded by one partition —
-  // losing any single zone loses close to 1/zones of the graph, never a
-  // hot-spotted majority.
-  std::vector<double> zone_load(zones, 0.0);
+  // Two-level LPT, heaviest partitions first: pick the lightest *zone* (by
+  // packed load), then the lightest VM inside it. Partition count per zone
+  // stays within one of even, and load imbalance across zones is bounded by
+  // one partition — losing any single zone loses close to 1/zones of the
+  // graph, never a hot-spotted majority. A zone with no VM is never picked.
+  // With one zone this is plain LPT onto the first lightest VM.
+  std::vector<double> zone_load(zones, std::numeric_limits<double>::infinity());
+  for (std::uint32_t v = 0; v < s.workers; ++v) zone_load[zone_of(v)] = 0.0;
   for (std::uint32_t v = 0; v < s.workers; ++v) zone_load[zone_of(v)] += bin[v];
   std::vector<std::uint32_t> out(parts, 0);
   for (std::size_t p : order) {

@@ -51,45 +51,21 @@ class PlacementPolicy {
   virtual std::string name() const = 0;
 };
 
-/// The static default: partition p on VM p mod workers, forever.
-class ModuloPlacement final : public PlacementPolicy {
- public:
-  std::vector<std::uint32_t> place(const PlacementSignals& signals) override;
-  std::string name() const override { return "modulo"; }
-};
-
 /// Greedy load rebalancer: smooths per-partition load with an EWMA, and when
 /// the max/mean VM load ratio exceeds `trigger`, re-packs partitions onto
 /// VMs with longest-processing-time-first bin packing. Hysteresis (the
 /// trigger plus the EWMA) keeps it from thrashing placements every barrier.
+/// With more than one availability zone the packing spreads load across
+/// zones first and VMs second, so a single zone outage loses a near-minimal
+/// share of partitions (and, through the engine's replica targeting, never
+/// a checkpoint together with every VM that could restore it). The engine's
+/// default with no policy installed is the static p mod workers.
 class GreedyRebalancePlacement final : public PlacementPolicy {
  public:
   explicit GreedyRebalancePlacement(double trigger = 1.25, double ewma_alpha = 0.5);
 
   std::vector<std::uint32_t> place(const PlacementSignals& signals) override;
   std::string name() const override { return "greedy-rebalance"; }
-
-  std::uint32_t rebalances() const noexcept { return rebalances_; }
-
- private:
-  double trigger_;
-  double alpha_;
-  std::vector<Ewma> smoothed_;
-  std::uint32_t rebalances_ = 0;
-};
-
-/// Zone-aware load rebalancer: the same EWMA + LPT machinery as
-/// GreedyRebalancePlacement, but the bin choice spreads load across
-/// availability zones first and VMs second, so a single zone outage loses a
-/// near-minimal share of partitions (and, through the engine's replica
-/// targeting, never a checkpoint together with every VM that could restore
-/// it). With one zone it degenerates to plain greedy rebalancing.
-class ZoneSpreadPlacement final : public PlacementPolicy {
- public:
-  explicit ZoneSpreadPlacement(double trigger = 1.25, double ewma_alpha = 0.5);
-
-  std::vector<std::uint32_t> place(const PlacementSignals& signals) override;
-  std::string name() const override { return "zone-spread"; }
 
   std::uint32_t rebalances() const noexcept { return rebalances_; }
 

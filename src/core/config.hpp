@@ -56,7 +56,7 @@ struct ScaleInOptions {
 
 /// The simulated deployment: how many graph partitions exist, how many
 /// worker VMs host them, what hardware each VM is, and how the environment
-/// behaves (cost model parameters, tenancy noise, elastic scaling policy).
+/// behaves (cost model parameters, fault plan, elastic scaling policy).
 struct ClusterConfig {
   /// Logical graph partitions. This is the paper's "number of partition
   /// workers" at full scale; with elastic scaling, fewer VMs may host them
@@ -66,9 +66,6 @@ struct ClusterConfig {
   std::uint32_t initial_workers = 8;
   cloud::VmSpec vm = cloud::azure_large_2012();
   cloud::CostParams cost;
-  /// Multi-tenancy noise amplitude (0 = perfectly deterministic timings).
-  double tenancy_sigma = 0.0;
-  std::uint64_t noise_seed = 1;
   /// Worker-count policy consulted at each barrier; null = fixed at
   /// initial_workers.
   std::shared_ptr<cloud::ScalingPolicy> scaling;
@@ -93,13 +90,11 @@ struct ClusterConfig {
 
   // -- Fault tolerance (Pregel's checkpoint/recovery, which the paper lists
   // -- among the advanced features its framework could support) ------------
-  /// Write a checkpoint to blob storage every N supersteps (0 = off).
+  /// Write a checkpoint to blob storage every N supersteps (0 = off). A
+  /// worker failure (`faults.vm_preemption_rate`, or one scheduled below)
+  /// with no checkpoint taken fails the job; with checkpoints the engine
+  /// rolls back and replays.
   std::uint64_t checkpoint_interval = 0;
-  /// Deterministic per-(VM, superstep) failure probability. A failure with
-  /// no checkpoint taken fails the job; with checkpoints the engine rolls
-  /// back and replays.
-  double failure_rate = 0.0;
-  std::uint64_t failure_seed = 7;
   /// Explicitly scheduled failures: (superstep, worker VM). Each fires once.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> scheduled_failures;
   /// Explicitly scheduled whole-zone outages: (superstep, zone). Each fires
@@ -138,10 +133,11 @@ struct ClusterConfig {
   Seconds manager_lease_timeout = 10.0;
   Seconds manager_takeover_time = 5.0;
 
-  // -- Transient faults (the clouds the paper actually ran on) --------------
-  /// Seeded injection of queue/blob transients, spot preemptions, and
-  /// straggler episodes. All-zero rates (the default) inject nothing and the
-  /// simulation is bit-identical to a failure-free run.
+  // -- Cloud weather (the clouds the paper actually ran on) -----------------
+  /// Everything that goes wrong, from one seed: queue/blob transients,
+  /// worker deaths, manager preemptions, zone outages, multi-tenancy noise
+  /// and straggler episodes. All-zero rates (the default) inject nothing and
+  /// the simulation is bit-identical to a failure-free run.
   cloud::FaultPlan faults;
   /// Client-side retry discipline masking the transient queue/blob classes;
   /// masked latency is charged to the cost model, and an op that exhausts

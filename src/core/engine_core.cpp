@@ -11,7 +11,6 @@
 #include "runtime/trace.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
-#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace pregel {
@@ -22,7 +21,6 @@ EngineCore::EngineCore(const Graph& graph, ClusterConfig cluster,
       cluster_(std::move(cluster)),
       cost_(cluster_.cost),
       traits_(traits),
-      noise_(cluster_.tenancy_sigma, cluster_.noise_seed),
       faults_(cluster_.faults) {
   cluster_.retry.validate();
   PREGEL_CHECK_MSG(cluster_.num_partitions >= 1, "Engine: need >= 1 partition");
@@ -471,7 +469,7 @@ bool EngineCore::finalize_timing(SuperstepMetrics& sm) {
     wm.memory_peak = L.memory_peak;
 
     // Continuous multi-tenancy jitter times episodic straggler slowdowns.
-    const double jitter = noise_.factor(i, superstep_) * faults_.straggler_factor(i, superstep_);
+    const double jitter = faults_.slowdown(i, superstep_);
     factors[i] = jitter;
     raw_compute[i] = cost_.compute_time(L, cluster_.vm);
     raw_network[i] = cost_.network_time(L, cluster_.vm, w - 1);
@@ -1291,24 +1289,15 @@ EngineCore::FailureEvent EngineCore::collect_failures() {
   return event;
 }
 
-/// Worker death check at the barrier: explicitly scheduled failures,
-/// probabilistic VM failures, then spot-style preemptions. Returns the
-/// dead VM, or nullopt when everyone checked in.
+/// Worker death check at the barrier: explicitly scheduled failures, then
+/// the fault plan's seeded worker deaths. Returns the dead VM, or nullopt
+/// when everyone checked in.
 std::optional<std::uint32_t> EngineCore::failure_strikes() {
   for (auto it = scheduled_failures_.begin(); it != scheduled_failures_.end(); ++it) {
     if (it->first == superstep_ && it->second < workers_now_) {
       const std::uint32_t vm = it->second;
       scheduled_failures_.erase(it);
       return vm;
-    }
-  }
-  if (cluster_.failure_rate > 0.0) {
-    for (std::uint32_t w = 0; w < workers_now_; ++w) {
-      // Keyed by the failure epoch so a replayed superstep redraws.
-      const std::uint64_t key = mix64(cluster_.failure_seed ^ (superstep_ * 131) ^
-                                      (static_cast<std::uint64_t>(w) << 32) ^
-                                      (failure_epoch_ * 0x9E3779B9ULL));
-      if (static_cast<double>(key >> 11) * 0x1.0p-53 < cluster_.failure_rate) return w;
     }
   }
   for (std::uint32_t w = 0; w < workers_now_; ++w)

@@ -40,7 +40,6 @@
 #include "cloud/faults.hpp"
 #include "cloud/manager.hpp"
 #include "cloud/migration.hpp"
-#include "cloud/network.hpp"
 #include "cloud/queue.hpp"
 #include "core/aggregates.hpp"
 #include "core/config.hpp"
@@ -402,7 +401,6 @@ class EngineCore {
   // ---- data ----------------------------------------------------------------
 
   const ProgramTraits traits_;
-  cloud::TenancyNoise noise_;
   cloud::CostMeter meter_;
   cloud::QueueService queues_;
   /// The report passed to the start/advance call in progress; every

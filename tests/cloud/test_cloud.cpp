@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "cloud/cost_model.hpp"
 #include "cloud/elasticity.hpp"
 #include "cloud/faults.hpp"
-#include "cloud/network.hpp"
 #include "cloud/queue.hpp"
 #include "cloud/vm.hpp"
 
@@ -158,28 +158,35 @@ TEST(CostModel, WireAndBufferedBytes) {
   EXPECT_GT(m.buffered_bytes(20), m.wire_bytes(20));  // memory > wire, by design
 }
 
-TEST(TenancyNoise, ZeroSigmaIsExactlyOne) {
-  const TenancyNoise n(0.0, 7);
+FaultInjector tenancy(double sigma, std::uint64_t seed) {
+  FaultPlan p;
+  p.tenancy_sigma = sigma;
+  p.seed = seed;
+  return FaultInjector{p};
+}
+
+TEST(TenancySlowdown, ZeroSigmaIsExactlyOne) {
+  const FaultInjector n = tenancy(0.0, 7);
   for (std::uint32_t w = 0; w < 4; ++w)
-    for (std::uint64_t s = 0; s < 10; ++s) EXPECT_DOUBLE_EQ(n.factor(w, s), 1.0);
+    for (std::uint64_t s = 0; s < 10; ++s) EXPECT_DOUBLE_EQ(n.slowdown(w, s), 1.0);
 }
 
-TEST(TenancyNoise, DeterministicAndOrderIndependent) {
-  const TenancyNoise n(0.2, 99);
-  const double a = n.factor(3, 17);
-  (void)n.factor(1, 2);
-  (void)n.factor(5, 5);
-  EXPECT_DOUBLE_EQ(n.factor(3, 17), a);
+TEST(TenancySlowdown, DeterministicAndOrderIndependent) {
+  const FaultInjector n = tenancy(0.2, 99);
+  const double a = n.slowdown(3, 17);
+  (void)n.slowdown(1, 2);
+  (void)n.slowdown(5, 5);
+  EXPECT_DOUBLE_EQ(n.slowdown(3, 17), a);
 }
 
-TEST(TenancyNoise, FactorsAtLeastOne) {
-  const TenancyNoise n(0.3, 5);
+TEST(TenancySlowdown, FactorsAtLeastOne) {
+  const FaultInjector n = tenancy(0.3, 5);
   for (std::uint32_t w = 0; w < 8; ++w)
-    for (std::uint64_t s = 0; s < 50; ++s) EXPECT_GE(n.factor(w, s), 1.0);
+    for (std::uint64_t s = 0; s < 50; ++s) EXPECT_GE(n.slowdown(w, s), 1.0);
 }
 
-TEST(TenancyNoise, RejectsNegativeSigma) {
-  EXPECT_THROW(TenancyNoise(-0.1, 1), std::logic_error);
+TEST(TenancySlowdown, RejectsNegativeSigma) {
+  EXPECT_THROW(tenancy(-0.1, 1), std::logic_error);
 }
 
 TEST(AzureQueue, FifoOrder) {
@@ -328,6 +335,17 @@ TEST(FaultPlan, ValidatesRates) {
   EXPECT_THROW(p.validate(), std::logic_error);
   p = {};
   p.straggler_slowdown = 0.5;
+  EXPECT_THROW(p.validate(), std::logic_error);
+  // NaN compares false both ways, so it must not slip past a range check.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  p = {};
+  p.blob_read_failure_rate = kNaN;
+  EXPECT_THROW(p.validate(), std::logic_error);
+  p = {};
+  p.straggler_slowdown = kNaN;
+  EXPECT_THROW(p.validate(), std::logic_error);
+  p = {};
+  p.tenancy_sigma = kNaN;
   EXPECT_THROW(p.validate(), std::logic_error);
   p = {};
   EXPECT_NO_THROW(p.validate());

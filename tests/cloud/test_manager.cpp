@@ -156,7 +156,7 @@ TEST(BarrierDrain, SeededDuplicateStreamIsDeterministic) {
   auto run = [](std::uint64_t seed) {
     FaultPlan plan;
     plan.queue_duplicate_rate = 0.5;
-    plan.queue_duplicate_seed = seed;
+    plan.seed = seed;
     FaultInjector inj(plan);
     AzureQueue q;
     for (std::uint32_t w = 0; w < 16; ++w) q.put(make_checkin(w, 1, 1));
@@ -165,15 +165,15 @@ TEST(BarrierDrain, SeededDuplicateStreamIsDeterministic) {
     EXPECT_EQ(s.active_total, 16u);
     return s.duplicates;
   };
-  EXPECT_EQ(run(0xFA09), run(0xFA09));
-  EXPECT_NE(run(0xFA09), run(0xFA09) + 1);  // sanity: stable value
+  EXPECT_EQ(run(0xFA00), run(0xFA00));
+  EXPECT_NE(run(0xFA00), run(0xFA00) + 1);  // sanity: stable value
 }
 
 TEST(BarrierDrain, ZeroDuplicateRateDrawsNothing) {
   FaultPlan plan;  // all rates zero
   FaultInjector inj(plan);
   EXPECT_FALSE(inj.next_duplicate());
-  EXPECT_EQ(inj.duplicate_draws(), 0u);  // zero rate must not consume the stream
+  EXPECT_EQ(inj.draws(FaultKind::kQueueDuplicate), 0u);  // zero rate must not consume the stream
 }
 
 // ---------------------------------------------------------------------------

@@ -359,7 +359,7 @@ TEST(Engine, TenancyNoiseSlowsButStaysDeterministic) {
   Graph g = ring_graph(64);
   const auto parts = HashPartitioner{}.partition(g, 4);
   ClusterConfig noisy = small_cluster(4);
-  noisy.tenancy_sigma = 0.3;
+  noisy.faults.tenancy_sigma = 0.3;
   JobOptions opts;
   opts.start_all_vertices = true;
   Engine<FloodProgram> quiet_e(g, {3}, small_cluster(4), parts);

@@ -140,8 +140,8 @@ TEST(FaultTolerance, ProbabilisticFailuresEventuallyFinish) {
   const auto parts = HashPartitioner{}.partition(g, 4);
   ClusterConfig c = base_cluster();
   c.checkpoint_interval = 3;
-  c.failure_rate = 0.02;  // ~8% per superstep across 4 workers
-  c.failure_seed = 17;
+  c.faults.vm_preemption_rate = 0.02;  // ~8% per superstep across 4 workers
+  c.faults.seed = 14;  // worker deaths draw from seed + 3
   Engine<PageRankProgram> e(g, {30, 0.85}, c, parts);
   JobOptions o;
   o.start_all_vertices = true;

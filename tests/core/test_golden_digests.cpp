@@ -89,6 +89,10 @@ constexpr std::uint64_t kSubgraphComponents = 0x75428495c530b76cULL;
 // Pinned before per-vertex inboxes became one flat arena per partition.
 constexpr std::uint64_t kPageRankCombinerCheckpointedMigration = 0x038c68b2a515c4d4ULL;
 constexpr std::uint64_t kBcSwathedPullAlways = 0xda852d74a8059127ULL;
+// Pinned while tenancy noise and worker deaths still had seeds of their own
+// outside the fault plan; folding every stream onto FaultPlan::seed left it
+// untouched.
+constexpr std::uint64_t kPageRankAllFaultStreams = 0x27d01126901f4fa7ULL;
 
 constexpr std::uint32_t kLanes[] = {1, 4};
 
@@ -282,6 +286,63 @@ TEST(GoldenDigest, SubgraphComponents) {
     for (VertexId v = 0; v < g.num_vertices(); ++v)
       ASSERT_EQ(r.values[v].label, ref.component[v]) << "vertex " << v;
     EXPECT_EQ(digest(r, kLabelBits), kSubgraphComponents) << lanes << " lanes";
+  }
+}
+
+// Every stream of the fault plan on at once, from one seed: transient queue
+// and blob faults, corrupt reads and deliveries, torn and rotting
+// checkpoints under a scrub, manager failovers, zone outages, duplicated
+// barrier traffic, worker deaths, stragglers and tenancy noise.
+TEST(GoldenDigest, PageRankAllFaultStreams) {
+  const Graph g = barabasi_albert(500, 3, 2013);
+  ClusterConfig c = eight_partitions_four_vms();
+  c.availability_zones = 2;
+  c.checkpoint_interval = 2;
+  c.ckpt.scrub_period = 2;
+  cloud::FaultPlan& f = c.faults;
+  f.queue_op_failure_rate = 0.02;
+  f.blob_read_failure_rate = 0.05;
+  f.blob_write_failure_rate = 0.05;
+  f.blob_corruption_rate = 0.1;
+  f.queue_corruption_rate = 0.02;
+  f.ckpt_torn_write_rate = 0.05;
+  f.ckpt_rot_rate = 0.05;
+  f.manager_preemption_rate = 0.05;
+  f.zone_outage_rate = 0.01;
+  f.queue_duplicate_rate = 0.1;
+  f.straggler_rate = 0.1;
+  f.tenancy_sigma = 0.2;
+  f.vm_preemption_rate = 0.01;
+  f.seed = 0xC10DD;
+  const auto parts = HashPartitioner{}.partition(g, c.num_partitions);
+  const auto ref = reference_pagerank(g, 20);
+  for (const std::uint32_t lanes : kLanes) {
+    JobOptions o;
+    o.start_all_vertices = true;
+    o.use_combiner = true;
+    o.parallelism = lanes;
+    Engine<PageRankProgram> e(g, {20, 0.85}, c, parts);
+    const auto r = e.run(o);
+    ASSERT_FALSE(r.failed);
+    EXPECT_GT(r.metrics.worker_failures, 0u);
+    EXPECT_GT(r.metrics.retries_attempted, 0u) << "no masked retry";
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      ASSERT_NEAR(r.values[v].rank, ref[v], 1e-12) << "vertex " << v;
+    EXPECT_EQ(digest(r, kRankBits), kPageRankAllFaultStreams) << lanes << " lanes";
+
+    // The slowdown streams are pure functions of (vm, superstep): redraw
+    // them for every superstep the run executed to show both struck.
+    const cloud::FaultInjector weather(f);
+    bool straggled = false, noisy = false;
+    for (const SuperstepMetrics& s : r.metrics.supersteps) {
+      for (std::uint32_t vm = 0; vm < s.active_workers; ++vm) {
+        const double episode = weather.straggler_factor(vm, s.superstep);
+        straggled = straggled || episode > 1.0;
+        noisy = noisy || weather.slowdown(vm, s.superstep) > episode;
+      }
+    }
+    EXPECT_TRUE(straggled) << "no straggler episode";
+    EXPECT_TRUE(noisy) << "no tenancy slowdown";
   }
 }
 

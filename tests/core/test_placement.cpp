@@ -3,6 +3,7 @@
 // must actually counter §VII's partition-local activity maximas.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "algos/bc.hpp"
@@ -19,17 +20,7 @@ namespace {
 
 using algos::BcProgram;
 using cloud::GreedyRebalancePlacement;
-using cloud::ModuloPlacement;
 using cloud::PlacementSignals;
-
-TEST(ModuloPlacement, RoundRobin) {
-  ModuloPlacement p;
-  PlacementSignals s;
-  s.workers = 3;
-  s.placement.assign(7, 0);
-  const auto out = p.place(s);
-  for (std::uint32_t i = 0; i < 7; ++i) EXPECT_EQ(out[i], i % 3);
-}
 
 TEST(GreedyRebalance, NoMoveWhenBalanced) {
   GreedyRebalancePlacement p(1.25, 1.0);
@@ -54,6 +45,22 @@ TEST(GreedyRebalance, RepacksWhenSkewed) {
   double bin[2] = {0, 0};
   for (int i = 0; i < 4; ++i) bin[out[static_cast<std::size_t>(i)]] += s.partition_load[static_cast<std::size_t>(i)];
   EXPECT_LT(std::max(bin[0], bin[1]) / ((bin[0] + bin[1]) / 2), 1.25);
+}
+
+TEST(GreedyRebalance, ZoneWithNoVmIsNeverPicked) {
+  // Three zones but two VMs (zones 0 and 1): the empty zone 2 must not
+  // swallow a partition onto whichever VM the search defaulted to.
+  GreedyRebalancePlacement p(1.25, 1.0);
+  PlacementSignals s;
+  s.workers = 2;
+  s.zones = 3;
+  s.vm_zone = {0, 1};
+  s.placement = {0, 0, 0, 1};
+  s.partition_load = {10, 10, 10, 10};
+  const auto out = p.place(s);
+  EXPECT_EQ(p.rebalances(), 1u);
+  EXPECT_EQ(std::count(out.begin(), out.end(), 0u), 2);
+  EXPECT_EQ(std::count(out.begin(), out.end(), 1u), 2);
 }
 
 TEST(GreedyRebalance, ZeroLoadIsNoop) {

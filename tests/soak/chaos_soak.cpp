@@ -4,9 +4,10 @@
 // Each seed derives one scenario (workload, graph, cluster shape, fault
 // plan, governor budget) from a SplitMix64 stream, runs a fault-free
 // baseline with generous memory, then re-runs under chaos — transient
-// queue/blob faults, blob corruption, preemptions, stragglers, scheduled
-// VM failures, checkpoint/recovery, and the memory-pressure governor with
-// a budget squeezed between the baseline's floor and peak. The chaos run
+// queue/blob faults, blob corruption, preemptions, tenancy noise,
+// stragglers, scheduled VM failures, checkpoint/recovery, and the
+// memory-pressure governor with a budget squeezed between the baseline's
+// floor and peak. The whole fault plan draws from one seed. The chaos run
 // must complete and produce bit-identical vertex values — or fail the one way
 // the fault model intends: the setup blob read exhausts its retries, no
 // superstep runs, and a rerun fails identically (reported as SOAK-OK with a
@@ -114,12 +115,9 @@ ChaosDraw draw_chaos(SplitMix64& rng, std::uint32_t partitions) {
   d.cluster.faults.vm_preemption_rate = uniform_real(rng, 0.0, 0.006);
   d.cluster.faults.straggler_rate = uniform_real(rng, 0.0, 0.12);
   d.cluster.faults.straggler_slowdown = uniform_real(rng, 2.0, 6.0);
-  d.cluster.faults.queue_seed = rng();
-  d.cluster.faults.blob_seed = rng();
-  d.cluster.faults.preemption_seed = rng();
-  d.cluster.faults.straggler_seed = rng();
-  d.cluster.faults.corruption_seed = rng();
-  d.cluster.faults.queue_corruption_seed = rng();
+  d.cluster.faults.tenancy_sigma = uniform_real(rng, 0.0, 0.3);
+  // One seed drives every stream of the plan, including those drawn below.
+  d.cluster.faults.seed = rng();
   d.cluster.straggler_timeout_factor = (rng() & 1) ? uniform_real(rng, 2.0, 4.0) : 0.0;
 
   // Live migration rides along on half the scenarios: periodic activity
@@ -144,26 +142,19 @@ ChaosDraw draw_chaos(SplitMix64& rng, std::uint32_t partitions) {
   // redelivery on every scenario; correlated zone outages on multi-zone
   // draws (kept rare — a whole domain dies at once, and an outage landing
   // before the first checkpoint legitimately loses the job, same as an
-  // early preemption). Drawn after everything above so the legacy part of
-  // a seed's scenario is unchanged.
+  // early preemption).
   d.cluster.faults.manager_preemption_rate = uniform_real(rng, 0.0, 0.03);
   d.cluster.faults.queue_duplicate_rate = uniform_real(rng, 0.0, 0.1);
-  d.cluster.faults.manager_seed = rng();
-  d.cluster.faults.queue_duplicate_seed = rng();
   d.cluster.availability_zones = static_cast<std::uint32_t>(uniform_int(rng, 1, 3));
-  if (d.cluster.availability_zones > 1) {
+  if (d.cluster.availability_zones > 1)
     d.cluster.faults.zone_outage_rate = uniform_real(rng, 0.0, 0.004);
-    d.cluster.faults.zone_seed = rng();
-  }
 
   // Generational checkpoint store: torn leg/manifest writes, at-rest rot,
-  // delta chains, and the background scrub all ride along (drawn last so the
-  // legacy part of a seed's scenario is unchanged). Tear/rot rates stay low:
-  // a deep multi-generation fallback replays many supersteps and the
-  // runaway guard bounds total executed supersteps per scenario.
+  // delta chains, and the background scrub all ride along. Tear/rot rates
+  // stay low: a deep multi-generation fallback replays many supersteps and
+  // the runaway guard bounds total executed supersteps per scenario.
   d.cluster.faults.ckpt_torn_write_rate = uniform_real(rng, 0.0, 0.05);
   d.cluster.faults.ckpt_rot_rate = uniform_real(rng, 0.0, 0.1);
-  d.cluster.faults.ckpt_seed = rng();
   d.cluster.ckpt.delta_enabled = (rng() & 1) != 0;
   d.cluster.ckpt.max_chain_length = static_cast<std::uint32_t>(uniform_int(rng, 1, 4));
   d.cluster.ckpt.retained_generations = static_cast<std::uint32_t>(uniform_int(rng, 1, 3));
