@@ -217,6 +217,65 @@ TEST(MultilevelPartitioner, DeterministicInSeed) {
   EXPECT_EQ(a.assignment(), b.assignment());
 }
 
+// FNV-1a-style fold of an assignment, in vertex order.
+std::uint64_t assignment_digest(const Partitioning& p) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (PartitionId x : p.assignment()) {
+    h ^= x;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// A directed multigraph derived from `g`: keeps arc (v,u) iff
+// (7u + 3v) % 5 != 0, doubles the first kept out-arc of every v with
+// v % 3 == 0 and adds a self-loop on every v with v % 7 == 0.
+Graph directed_multigraph(const Graph& g) {
+  GraphBuilder b(g.num_vertices(), /*undirected=*/false);
+  b.keep_duplicates().keep_self_loops();
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    bool first = true;
+    for (VertexId u : g.out_neighbors(v)) {
+      if ((7ULL * u + 3ULL * v) % 5 == 0) continue;
+      b.add_edge(v, u);
+      if (first && v % 3 == 0) b.add_edge(v, u);
+      first = false;
+    }
+    if (v % 7 == 0) b.add_edge(v, v);
+  }
+  return b.build();
+}
+
+// The multilevel partitioner's exact output feeds every METIS-like modeled
+// number (Figs 8-14, the subgraph models, the SSSP perfbench workload), so
+// its assignments are pinned: a speed-up must reproduce them bit for bit.
+TEST(MultilevelPartitioner, PinnedAssignmentDigests) {
+  const Graph cp = dataset_analog("CP", 100, 7);
+  const Graph wg = dataset_analog("WG", 100, 7);
+  const Graph multi = directed_multigraph(cp);
+  ASSERT_FALSE(multi.undirected());
+  struct Case {
+    const char* name;
+    const Graph* g;
+    PartitionId parts;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"CP/100", &cp, 4, 0x9ac152f7b9542b18ULL},
+      {"CP/100", &cp, 8, 0xd50830eff1850aa4ULL},
+      {"WG/100", &wg, 4, 0xaf9d7229bb8dd0b4ULL},
+      {"WG/100", &wg, 8, 0x2bb130758cf11786ULL},
+      {"CP/100 directed multigraph", &multi, 4, 0x6f39fef7b809758aULL},
+      {"CP/100 directed multigraph", &multi, 8, 0xed94c60c405cfbbfULL},
+  };
+  MultilevelPartitioner::Options o;
+  o.seed = 2013;
+  for (const Case& c : cases) {
+    EXPECT_EQ(assignment_digest(MultilevelPartitioner{o}.partition(*c.g, c.parts)), c.digest)
+        << c.name << " k=" << c.parts;
+  }
+}
+
 // All partitioners, all part counts: every vertex assigned, all parts used.
 class AllPartitioners
     : public ::testing::TestWithParam<std::tuple<int, PartitionId>> {};

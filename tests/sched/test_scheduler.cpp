@@ -238,10 +238,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1ull, 2ull, 3ull),
                        ::testing::Bool(),          // fair-share / priority
                        ::testing::Values(4u, 8u)),  // one lane / two lanes
-    [](const auto& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_priority" : "_fairshare") + "_pool" +
-             std::to_string(std::get<2>(info.param));
+    [](const auto& p) {
+      return "seed" + std::to_string(std::get<0>(p.param)) +
+             (std::get<1>(p.param) ? "_priority" : "_fairshare") + "_pool" +
+             std::to_string(std::get<2>(p.param));
     });
 
 // The scheduling trail itself is deterministic: replaying the same plan
