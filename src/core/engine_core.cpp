@@ -159,7 +159,7 @@ void EngineCore::build_partitions(const std::vector<PartitionId>& assignment) {
     parts_[p].vertices.push_back(v);
   }
   for (auto& ps : parts_) {
-    ps.in_active_next.assign(ps.vertices.size(), false);
+    ps.in_active_next.assign(ps.vertices.size());
     ps.graph_bytes = partition_graph_bytes(ps.vertices);
   }
   orig_part_ = part_of_;
@@ -231,7 +231,7 @@ void EngineCore::reset_run_state(const JobOptions& opts) {
     ps.inbox_cur_bytes = ps.inbox_next_bytes = 0;
     ps.active_cur.clear();
     ps.active_next.clear();
-    std::fill(ps.in_active_next.begin(), ps.in_active_next.end(), false);
+    ps.in_active_next.clear();
     ps.wakes.clear();
     ps.state_bytes = 0;
     if (migration_possible_)
@@ -311,27 +311,30 @@ void EngineCore::prepare_superstep() {
     ps.active_cur = std::move(ps.active_next);
     ps.active_next.clear();
     // The dedupe flags are still set for active_cur's members; reuse them
-    // to merge this superstep's wakes in O(actives + wakes), then clear.
+    // to merge this superstep's wakes in O(wakes). Ordering clears them.
     if (auto it = ps.wakes.find(superstep_); it != ps.wakes.end()) {
-      for (std::uint32_t l : it->second) {
-        if (!ps.in_active_next[l]) {
-          ps.in_active_next[l] = true;
-          ps.active_cur.push_back(l);
-        }
-      }
+      for (std::uint32_t l : it->second)
+        if (ps.in_active_next.insert(l)) ps.active_cur.push_back(l);
       ps.wakes.erase(it);
     }
-    for (std::uint32_t l : ps.active_cur) ps.in_active_next[l] = false;
     if (migrated_) {
       // After a migration, local index order no longer equals serial-visit
       // order; compute must walk actives in immutable-rank order so staged
       // emissions come out rank-sorted per outbox row.
+      for (std::uint32_t l : ps.active_cur) ps.in_active_next.reset(l);
       std::sort(ps.active_cur.begin(), ps.active_cur.end(),
                 [&](std::uint32_t a, std::uint32_t b) {
                   return rank_of_[ps.vertices[a]] < rank_of_[ps.vertices[b]];
                 });
     } else {
-      std::sort(ps.active_cur.begin(), ps.active_cur.end());
+      // Local order is serial-visit order, and the flags mark exactly the
+      // actives: listing the set flags in ascending order (and clearing
+      // them) orders the frontier without a sort, in one word-scan of the
+      // partition whatever its density.
+      [[maybe_unused]] const std::size_t count = ps.active_cur.size();
+      ps.active_cur.clear();
+      ps.in_active_next.drain_ascending(ps.active_cur);
+      PREGEL_DCHECK(ps.active_cur.size() == count);
     }
     ps.load = {};
     ps.outbuf_bytes = 0;
@@ -1775,7 +1778,7 @@ void EngineCore::rebuild_partitions_for_moves(const std::vector<VertexMoveCost>&
     PartitionMeta ns;
     const std::size_t pn = nv.size();
     ns.vertices = std::move(nv);
-    ns.in_active_next.assign(pn, false);
+    ns.in_active_next.assign(pn);
     ns.state_bytes_v.assign(pn, 0);
     ns.graph_bytes = partition_graph_bytes(ns.vertices);
     parts_[p] = std::move(ns);
@@ -1794,15 +1797,15 @@ void EngineCore::rebuild_partitions_for_moves(const std::vector<VertexMoveCost>&
       source[i][nl] = {part_of_[v], ol};
       if (!os.state_bytes_v.empty()) ns.state_bytes_v[nl] = os.state_bytes_v[ol];
       ns.state_bytes += ns.state_bytes_v[nl];
-      if (os.in_active_next[ol]) {
-        ns.in_active_next[nl] = true;
+      if (os.in_active_next.test(ol)) {
+        ns.in_active_next.insert(nl);
         ns.active_next.push_back(nl);
       }
     }
   }
 
   // Re-home scheduled wakes (locals are remapped; list order within a wake
-  // step is irrelevant — prepare_superstep sorts the merged actives).
+  // step is irrelevant — prepare_superstep orders the merged actives).
   for (const PartitionId p : affected) {
     for (const auto& [at, locals] : old.at(p).wakes) {
       for (const std::uint32_t ol : locals) {

@@ -26,6 +26,8 @@
 //                           the partition metadata
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -50,6 +52,34 @@
 
 namespace pregel {
 
+/// One flag per local vertex, packed 64 to a word, so listing the set
+/// flags costs one load per 64 locals plus one step per set flag.
+class LocalFlags {
+ public:
+  void assign(std::size_t n) { words_.assign((n + 63) / 64, 0); }
+  void clear() { std::fill(words_.begin(), words_.end(), 0); }
+  bool test(std::uint32_t l) const { return (words_[l >> 6] >> (l & 63)) & 1; }
+  /// Sets l's flag; false if it was already set.
+  bool insert(std::uint32_t l) {
+    const std::uint64_t bit = std::uint64_t{1} << (l & 63);
+    if (words_[l >> 6] & bit) return false;
+    words_[l >> 6] |= bit;
+    return true;
+  }
+  void reset(std::uint32_t l) { words_[l >> 6] &= ~(std::uint64_t{1} << (l & 63)); }
+  /// Appends every set local to `out` in ascending order and clears all.
+  void drain_ascending(std::vector<std::uint32_t>& out) {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
+        out.push_back(static_cast<std::uint32_t>(w * 64 + static_cast<unsigned>(std::countr_zero(bits))));
+      words_[w] = 0;
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
+
 /// One partition as the manager sees it: everything but vertex values and
 /// inbox messages, which live in the template's per-partition data.
 struct PartitionMeta {
@@ -58,7 +88,7 @@ struct PartitionMeta {
   /// (next).
   Bytes inbox_cur_bytes = 0, inbox_next_bytes = 0;
   std::vector<std::uint32_t> active_cur, active_next;
-  std::vector<bool> in_active_next;
+  LocalFlags in_active_next;
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> wakes;
   std::int64_t state_bytes = 0;
   /// Per-vertex breakdown of state_bytes, maintained only when migration
@@ -175,10 +205,7 @@ class EngineCore {
   std::uint32_t vm_of(std::uint32_t partition) const noexcept { return placement_[partition]; }
   void activate_local(std::uint32_t partition, std::uint32_t local) {
     PartitionMeta& ps = parts_[partition];
-    if (!ps.in_active_next[local]) {
-      ps.in_active_next[local] = true;
-      ps.active_next.push_back(local);
-    }
+    if (ps.in_active_next.insert(local)) ps.active_next.push_back(local);
   }
   /// O(1) amortized root completion: tombstone the entry, drop its index
   /// record, and compact when tombstones reach half the array. Initiation

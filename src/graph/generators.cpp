@@ -256,7 +256,7 @@ Graph complete_graph(VertexId n) {
   for (VertexId u = 0; u < n; ++u)
     for (VertexId v = u + 1; v < n; ++v) b.add_edge(u, v);
   Graph g = b.build();
-  g.set_name("K" + std::to_string(n));
+  g.set_name(std::string(1, 'K').append(std::to_string(n)));
   return g;
 }
 

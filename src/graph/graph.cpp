@@ -43,32 +43,50 @@ GraphBuilder& GraphBuilder::add_edges(std::span<const Edge> edges) {
 }
 
 Graph GraphBuilder::build() {
-  std::vector<Edge> arcs;
-  arcs.reserve(edges_.size() * (undirected_ ? 2 : 1));
+  Graph g;
+  g.n_ = n_;
+  g.undirected_ = undirected_;
+  auto& offsets = g.offsets_;
+  auto& adj = g.adj_;
+
+  // Counting sort by source: offsets[v] first holds v's arc count, then
+  // (inclusive prefix sum) the end of v's row; scattering each arc to
+  // --offsets[src] leaves offsets[v] at the start of v's row.
+  offsets.assign(static_cast<std::size_t>(n_) + 1, 0);
+  auto keep = [this](const Edge& e) { return !drop_loops_ || e.src != e.dst; };
   for (const Edge& e : edges_) {
-    if (drop_loops_ && e.src == e.dst) continue;
-    arcs.push_back(e);
-    if (undirected_) arcs.push_back({e.dst, e.src});
+    if (!keep(e)) continue;
+    ++offsets[e.src];
+    if (undirected_) ++offsets[e.dst];
+  }
+  for (std::size_t i = 1; i <= n_; ++i) offsets[i] += offsets[i - 1];
+  adj.resize(offsets[n_]);
+  for (const Edge& e : edges_) {
+    if (!keep(e)) continue;
+    adj[--offsets[e.src]] = e.dst;
+    if (undirected_) adj[--offsets[e.dst]] = e.src;
   }
   edges_.clear();
   edges_.shrink_to_fit();
 
-  if (dedupe_) {
-    std::sort(arcs.begin(), arcs.end());
-    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-  } else {
-    std::sort(arcs.begin(), arcs.end());
+  // Order each row by destination and, when deduping, squeeze out repeats
+  // in place. Rows only move left, so row v's old bounds are still intact
+  // when v is reached.
+  EdgeIndex write = 0;
+  for (VertexId v = 0; v < n_; ++v) {
+    const EdgeIndex begin = offsets[v];
+    const EdgeIndex end = offsets[v + 1];
+    std::sort(adj.data() + begin, adj.data() + end);
+    offsets[v] = write;
+    for (EdgeIndex i = begin; i < end; ++i)
+      if (!dedupe_ || write == offsets[v] || adj[write - 1] != adj[i]) adj[write++] = adj[i];
   }
-
-  Graph g;
-  g.n_ = n_;
-  g.undirected_ = undirected_;
-  g.offsets_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  g.adj_.resize(arcs.size());
-  for (const Edge& e : arcs) ++g.offsets_[e.src + 1];
-  for (std::size_t i = 1; i <= n_; ++i) g.offsets_[i] += g.offsets_[i - 1];
-  PREGEL_DCHECK(g.offsets_[n_] == arcs.size());
-  for (std::size_t i = 0; i < arcs.size(); ++i) g.adj_[i] = arcs[i].dst;
+  offsets[n_] = write;
+  if (write != adj.size()) {
+    adj.resize(write);
+    adj.shrink_to_fit();
+  }
+  PREGEL_DCHECK(adj.capacity() == adj.size());
   return g;
 }
 

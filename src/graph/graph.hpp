@@ -91,6 +91,19 @@ class Graph {
 ///
 /// Duplicate arcs and self-loops are removed by default (SNAP-style social
 /// graphs are simple graphs; BC/APSP assume simple traversal).
+///
+/// Order contract: the built graph is a function of the multiset of added
+/// edges and the flags, never of their insertion order. Each row lists its
+/// out-neighbors ascending (repeats kept adjacent when duplicates are kept),
+/// so the arcs in CSR order are exactly the (src, dst)-sorted arc list.
+/// Every generator, loader, transpose and induced subgraph builds through
+/// here, so this order is what every partition, traversal and digest sees.
+///
+/// Cost: build() is a counting sort by source, O(n + m) for m kept arcs,
+/// plus a sort of each row, O(sum of d log d) over out-degrees d. Beyond
+/// the pending edges and the graph itself it allocates nothing, except one
+/// copy of the arc array when deduplication shrinks it (so no capacity is
+/// left over: memory_footprint() counts exactly n + 1 offsets and m arcs).
 class GraphBuilder {
  public:
   /// `num_vertices` fixes the id space [0, n). Edges referencing ids >= n are

@@ -26,10 +26,12 @@ struct BinHeader {
 };
 
 template <typename T>
-void append_raw(std::vector<std::byte>& out, const T* data, std::size_t count) {
+void write_raw(std::vector<std::byte>& out, std::size_t& pos, const T* data, std::size_t count) {
   if (count == 0) return;  // empty vectors hand out null data()
-  const auto* p = reinterpret_cast<const std::byte*>(data);
-  out.insert(out.end(), p, p + count * sizeof(T));
+  const std::size_t bytes = count * sizeof(T);
+  PREGEL_DCHECK(pos + bytes <= out.size());
+  std::memcpy(out.data() + pos, data, bytes);
+  pos += bytes;
 }
 
 template <typename T>
@@ -168,19 +170,22 @@ void write_metis_file(const Graph& g, const std::string& path) {
 }
 
 std::vector<std::byte> serialize_graph(const Graph& g) {
-  std::vector<std::byte> out;
   const VertexId n = g.num_vertices();
-  BinHeader h{kMagic, 1, g.undirected() ? 1u : 0u, n, g.num_arcs()};
-  append_raw(out, &h, 1);
+  const BinHeader h{kMagic, 1, g.undirected() ? 1u : 0u, n, g.num_arcs()};
   // Re-derive CSR arrays through the public API so this stays independent of
   // Graph's internals.
   std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
   for (VertexId v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + g.out_degree(v);
-  append_raw(out, offsets.data(), offsets.size());
+  std::vector<std::byte> out(sizeof h + offsets.size() * sizeof(EdgeIndex) +
+                             g.num_arcs() * sizeof(VertexId));
+  std::size_t pos = 0;
+  write_raw(out, pos, &h, 1);
+  write_raw(out, pos, offsets.data(), offsets.size());
   for (VertexId v = 0; v < n; ++v) {
     const auto nbrs = g.out_neighbors(v);
-    append_raw(out, nbrs.data(), nbrs.size());
+    write_raw(out, pos, nbrs.data(), nbrs.size());
   }
+  PREGEL_DCHECK(pos == out.size());
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 
 #include "util/check.hpp"
 
@@ -129,7 +130,8 @@ MigrationPlan EdgeCutRefinePlanner::plan(const RebalanceSignals& s) {
                         cached_version_ == s.location_version &&
                         cached_part_of_ == part_of;
   if (!reusable) {
-    tallies_.clear();
+    tally_runs_.assign(s.graph->num_vertices(), TallyRun{});
+    tally_pool_.clear();
     cached_graph_ = s.graph;
     cached_version_ = s.location_version;
     cached_part_of_ = part_of;
@@ -140,20 +142,21 @@ MigrationPlan EdgeCutRefinePlanner::plan(const RebalanceSignals& s) {
   for (PartitionId p = 0; p < parts && out.moves.size() < max_moves_; ++p) {
     for (const VertexId v : s.active[p]) {
       if (out.moves.size() >= max_moves_) break;
-      auto it = tallies_.find(v);
-      if (it == tallies_.end()) {
-        std::vector<std::pair<PartitionId, std::uint32_t>> entry;
+      TallyRun& run = tally_runs_[v];
+      if (run.size == TallyRun::kUncached) {
         const auto nbrs = s.graph->out_neighbors(v);
         for (const VertexId u : nbrs) tally[part_of[u]]++;
+        PREGEL_CHECK(tally_pool_.size() + parts < TallyRun::kUncached);
+        run.begin = static_cast<std::uint32_t>(tally_pool_.size());
         for (PartitionId q = 0; q < parts; ++q)
-          if (tally[q] > 0) entry.push_back({q, tally[q]});
+          if (tally[q] > 0) tally_pool_.push_back({q, tally[q]});
+        run.size = static_cast<std::uint32_t>(tally_pool_.size() - run.begin);
         for (const VertexId u : nbrs) tally[part_of[u]] = 0;  // reset for next vertex
-        it = tallies_.emplace(v, std::move(entry)).first;
       } else {
         ++cache_hits_;
       }
-      const auto& counts = it->second;  // ascending partition id
-      if (counts.empty()) continue;     // isolated vertex
+      const std::span counts(tally_pool_.data() + run.begin, run.size);  // ascending id
+      if (counts.empty()) continue;  // isolated vertex
       // Best foreign partition by neighbor count; ties to the lowest id
       // (entries are ascending and only a strictly greater count displaces
       // the running best, exactly matching the uncached scan).

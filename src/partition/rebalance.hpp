@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -132,12 +131,19 @@ class EdgeCutRefinePlanner final : public MigrationPlanner {
   double balance_tolerance_;
 
   // Tally cache, valid while (graph, location_version, part_of) match.
+  // Vertex v's (partition, count) list is tally_pool_[begin, begin + size)
+  // of tally_runs_[v]; size kUncached marks a vertex not yet scanned.
+  struct TallyRun {
+    static constexpr std::uint32_t kUncached = ~std::uint32_t{0};
+    std::uint32_t begin = 0;
+    std::uint32_t size = kUncached;
+  };
   const Graph* cached_graph_ = nullptr;
   std::uint64_t cached_version_ = 0;
   bool cache_valid_ = false;
   std::vector<PartitionId> cached_part_of_;
-  std::unordered_map<VertexId, std::vector<std::pair<PartitionId, std::uint32_t>>>
-      tallies_;
+  std::vector<TallyRun> tally_runs_;
+  std::vector<std::pair<PartitionId, std::uint32_t>> tally_pool_;
   std::uint64_t cache_hits_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "graph/analysis.hpp"
@@ -165,6 +166,45 @@ TEST_P(AnalogSizes, SizesNearPaperScaledValues) {
 }
 
 INSTANTIATE_TEST_SUITE_P(All, AnalogSizes, ::testing::Values("SD", "WG", "CP", "LJ"));
+
+// FNV-1a fold of everything a Graph exposes: n, direction, arc count, the
+// modeled footprint (capacities) and every row in CSR order.
+std::uint64_t graph_digest(const Graph& g) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 1099511628211ULL;
+  };
+  mix(g.num_vertices());
+  mix(g.undirected() ? 1 : 0);
+  mix(g.num_arcs());
+  mix(g.memory_footprint());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    mix(g.out_degree(v));
+    for (const VertexId u : g.out_neighbors(v)) mix(u);
+  }
+  return h;
+}
+
+// Every modeled number downstream starts from these graphs, so the exact
+// CSR each analog builds is pinned: a faster builder or generator must
+// reproduce it byte for byte.
+TEST(Generators, PinnedAnalogDigests) {
+  struct Case {
+    const char* name;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"SD", 7, 0x128f98cb482f5da2ULL},    {"WG", 7, 0xfc5824d612038b39ULL},
+      {"CP", 7, 0x1e91bb90c445077eULL},    {"LJ", 7, 0x1487257e7bc00758ULL},
+      {"SD", 2013, 0x574f5974d3c9a20aULL}, {"WG", 2013, 0x270973bab48dcda3ULL},
+      {"CP", 2013, 0x85357356fe6c712dULL}, {"LJ", 2013, 0x6bdb14403faee48bULL},
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(graph_digest(dataset_analog(c.name, 100, c.seed)), c.digest)
+        << c.name << "/100 seed " << c.seed;
+}
 
 }  // namespace
 }  // namespace pregel

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/rng.hpp"
+
 namespace pregel {
 namespace {
 
@@ -74,6 +76,83 @@ TEST(GraphBuilder, BuildResetsBuilder) {
   (void)b.build();
   EXPECT_EQ(b.pending_edges(), 0u);
   EXPECT_EQ(b.build().num_edges(), 0u);
+}
+
+// GraphBuilder's contract, spelled out the slow way: every kept arc (both
+// directions when undirected), sorted by (src, dst), repeats dropped when
+// deduping; rows are that list cut by source.
+std::vector<Edge> reference_arcs(const std::vector<Edge>& edges, bool undirected, bool dedupe,
+                                 bool drop_loops) {
+  std::vector<Edge> arcs;
+  for (const Edge& e : edges) {
+    if (drop_loops && e.src == e.dst) continue;
+    arcs.push_back(e);
+    if (undirected) arcs.push_back({e.dst, e.src});
+  }
+  std::sort(arcs.begin(), arcs.end());
+  if (dedupe) arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+  return arcs;
+}
+
+void expect_matches(const Graph& g, VertexId n, const std::vector<Edge>& arcs) {
+  ASSERT_EQ(g.num_vertices(), n);
+  ASSERT_EQ(g.num_arcs(), arcs.size());
+  // Capacity equals size: the modeled footprint counts no slack.
+  EXPECT_EQ(g.memory_footprint(), (static_cast<Bytes>(n) + 1) * sizeof(EdgeIndex) +
+                                      arcs.size() * sizeof(VertexId));
+  std::size_t i = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    for (const VertexId u : g.out_neighbors(v)) {
+      ASSERT_LT(i, arcs.size());
+      ASSERT_EQ(arcs[i], (Edge{v, u})) << "arc " << i;
+      ++i;
+    }
+  }
+  EXPECT_EQ(i, arcs.size());
+}
+
+TEST(GraphBuilder, MatchesSortedReference) {
+  Xoshiro256 rng(0xB111D);
+  struct Shape {
+    VertexId n;
+    std::size_t m;
+  };
+  // Zero edges, a single vertex, dense multigraphs (many parallel edges and
+  // self-loops), and sparse ones with many empty rows.
+  const Shape shapes[] = {{1, 0}, {1, 3}, {2, 6}, {5, 40}, {7, 0}, {50, 400}, {300, 120}, {300, 3000}};
+  for (int flags = 0; flags < 8; ++flags) {
+    const bool undirected = (flags & 1) != 0;
+    const bool dedupe = (flags & 2) != 0;
+    const bool drop_loops = (flags & 4) != 0;
+    for (const Shape& sh : shapes) {
+      SCOPED_TRACE("undirected=" + std::to_string(undirected) + " dedupe=" +
+                   std::to_string(dedupe) + " drop_loops=" + std::to_string(drop_loops) +
+                   " n=" + std::to_string(sh.n) + " m=" + std::to_string(sh.m));
+      std::vector<Edge> edges;
+      for (std::size_t i = 0; i < sh.m; ++i)
+        edges.push_back({static_cast<VertexId>(rng.next_below(sh.n)),
+                         static_cast<VertexId>(rng.next_below(sh.n))});
+      // Vertex n-1 always has arcs (its row ends the CSR), twice over.
+      if (sh.m > 0) {
+        edges.push_back({sh.n - 1, 0});
+        edges.push_back({0, sh.n - 1});
+        edges.push_back({sh.n - 1, 0});
+      }
+      GraphBuilder b(sh.n, undirected);
+      b.keep_duplicates(!dedupe).keep_self_loops(!drop_loops).add_edges(edges);
+      const Graph g = b.build();
+      EXPECT_EQ(g.undirected(), undirected);
+      expect_matches(g, sh.n, reference_arcs(edges, undirected, dedupe, drop_loops));
+
+      // transposed() rebuilds through the same builder, keeping multiplicity.
+      std::vector<Edge> reversed;
+      for (VertexId v = 0; v < sh.n; ++v)
+        for (const VertexId u : g.out_neighbors(v)) reversed.push_back({u, v});
+      expect_matches(g.transposed(), sh.n,
+                     reference_arcs(reversed, /*undirected=*/false, /*dedupe=*/false,
+                                    /*drop_loops=*/false));
+    }
+  }
 }
 
 TEST(Graph, NeighborsSortedAscending) {
