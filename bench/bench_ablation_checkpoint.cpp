@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
                std::to_string(m.checkpoint_bases) + "+" +
                    std::to_string(m.checkpoint_deltas),
                format_bytes(bytes), format_seconds(m.checkpoint_time),
-               format_seconds(m.total_time), "$" + fmt(m.cost_usd, 4)});
+               format_seconds(m.total_time), std::string(1, '$').append(fmt(m.cost_usd, 4))});
   };
 
   // Adaptive tolerance scaled to the uniform rank mass 1/|V|: low-rank tail
@@ -135,10 +135,6 @@ int main(int argc, char** argv) {
         JobOptions o;
         o.roots = {0};
         o.use_combiner = true;
-        // Classic push traversal: the measurement here is checkpoint sizing
-        // against the wavefront, and dense pull supersteps activate (and so
-        // dirty) every vertex.
-        o.direction.mode = DirectionOptions::Mode::kOff;
         const auto r = e.run(o);
         return r.metrics;
       });

@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
                  std::to_string(r.metrics.manager_failovers),
                  std::to_string(r.metrics.zone_outages),
                  format_seconds(r.metrics.total_time),
-                 "$" + fmt(r.metrics.cost_usd, 4), fmt(overhead, 2) + "x"});
+                 std::string(1, '$').append(fmt(r.metrics.cost_usd, 4)), fmt(overhead, 2) + "x"});
       report.set_series_counter(series, "makespan_s", r.metrics.total_time);
       report.set_series_counter(series, "cost_usd", r.metrics.cost_usd);
       report.set_series_counter(series, "worker_failures", r.metrics.worker_failures);

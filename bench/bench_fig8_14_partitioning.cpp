@@ -160,7 +160,8 @@ int main(int argc, char** argv) {
                 << gname << " with " << pname << " ---\n";
       const auto& r = grid[gname][pname]["BC"];
       std::vector<std::string> headers{"superstep"};
-      for (std::size_t w = 0; w < 8; ++w) headers.push_back("w" + std::to_string(w));
+      for (std::size_t w = 0; w < 8; ++w)
+        headers.push_back(std::string(1, 'w').append(std::to_string(w)));
       headers.push_back("max/mean");
       TextTable t(headers);
       for (std::size_t i = 0; i < r.peak_matrix.size(); ++i) {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "util/crc32c.hpp"
 #include "util/rng.hpp"
@@ -15,11 +16,6 @@ namespace {
 std::uint32_t text_crc(const std::string& body) noexcept {
   return util::crc32c(std::as_bytes(std::span(body.data(), body.size())));
 }
-
-/// Sentinel partition id for manifest-rot draws (out of any leg's range).
-constexpr std::uint32_t kManifestPartition = 0xFFFFFFFFu;
-/// Copy ids: 0 = primary leg, 1 = replica leg, 2 = manifest.
-constexpr std::uint32_t kManifestCopy = 2;
 
 }  // namespace
 
@@ -89,19 +85,6 @@ bool CkptStore::next_is_base(std::uint64_t location_version) const noexcept {
   return deltas_since_base_ >= opts_.max_chain_length;
 }
 
-bool CkptStore::leg_scheduled(
-    const std::vector<std::pair<std::uint64_t, std::uint32_t>>& sched,
-    std::uint64_t key, std::uint32_t partition) const noexcept {
-  for (const auto& [k, p] : sched)
-    if (k == key && p == partition) return true;
-  return false;
-}
-
-bool CkptStore::seq_scheduled(const std::vector<std::uint64_t>& sched,
-                              std::uint64_t key) const noexcept {
-  return std::find(sched.begin(), sched.end(), key) != sched.end();
-}
-
 CkptWriteOutcome CkptStore::write_generation(
     std::uint64_t resume_superstep, std::uint64_t location_version,
     const std::vector<Bytes>& leg_bytes, const std::vector<std::uint32_t>& home_vm,
@@ -127,7 +110,7 @@ CkptWriteOutcome CkptStore::write_generation(
     // Phase one: the data leg upload. A torn ack is invisible now — the
     // client-side CRC goes into the manifest and the mismatch surfaces at
     // the next read of this blob.
-    leg.torn = leg_scheduled(opts_.scheduled_leg_tears, round, p) || faults.next_ckpt_torn();
+    leg.torn = faults.ckpt_torn(round, p);
     if (leg.torn) ++out.torn_legs;
     out.bytes_written += leg.bytes;
     gen.legs.push_back(leg);
@@ -137,8 +120,7 @@ CkptWriteOutcome CkptStore::write_generation(
   // generation visible. A torn manifest loses the whole round: the previous
   // manifest stays the newest readable one and no half-written generation
   // can ever be observed.
-  out.manifest_torn =
-      seq_scheduled(opts_.scheduled_manifest_tears, round) || faults.next_ckpt_torn();
+  out.manifest_torn = faults.ckpt_torn(round, kCkptManifestPartition);
   if (out.manifest_torn) return out;
 
   const std::uint64_t parent_hash = chain_.empty() ? 0 : chain_.back().chain_hash;
@@ -176,7 +158,7 @@ void CkptStore::attach_payload(std::shared_ptr<void> payload) {
 
 bool CkptStore::complete_replica_round(FaultInjector& faults) {
   if (chain_.empty() || chain_.back().seq == 0) return false;
-  if (seq_scheduled(opts_.scheduled_replica_failures, rounds_ - 1)) return false;
+  if (faults.replica_round_fails(rounds_ - 1)) return false;
   CkptGeneration& gen = chain_.back();
   for (CkptLeg& leg : gen.legs) leg.replica_torn = faults.next_ckpt_torn();
   gen.replicated = true;
@@ -187,9 +169,7 @@ bool CkptStore::copy_ok(const CkptGeneration& gen, CkptLeg& leg, std::uint32_t c
                         FaultInjector& faults) const {
   if (copy == 0) {
     if (leg.torn || leg.rotted) return false;
-    if ((leg.repairs == 0 &&
-         leg_scheduled(opts_.scheduled_leg_rot, gen.seq, leg.partition)) ||
-        faults.ckpt_rot(gen.seq, leg.partition, 0, leg.repairs)) {
+    if (faults.ckpt_rot(gen.seq, leg.partition, 0, leg.repairs)) {
       leg.rotted = true;
       return false;
     }
@@ -232,10 +212,8 @@ std::optional<CkptRestorePlan> CkptStore::plan_restore(
         // manifest fails for itself and every descendant whose chain
         // includes it.
         if (!gen.manifest_rotted &&
-            ((gen.manifest_repairs == 0 &&
-              seq_scheduled(opts_.scheduled_manifest_rot, gen.seq)) ||
-             faults.ckpt_rot(gen.seq, kManifestPartition, kManifestCopy,
-                             gen.manifest_repairs)))
+            faults.ckpt_rot(gen.seq, kCkptManifestPartition, kCkptManifestCopy,
+                            gen.manifest_repairs))
           gen.manifest_rotted = true;
         if (gen.manifest_rotted) {
           ++plan.corrupt_manifests;
@@ -292,8 +270,8 @@ CkptScrubOutcome CkptStore::scrub(FaultInjector& faults) {
   for (CkptGeneration& gen : chain_) {
     if (gen.seq == 0) continue;
     if (!gen.manifest_rotted &&
-        ((gen.manifest_repairs == 0 && seq_scheduled(opts_.scheduled_manifest_rot, gen.seq)) ||
-         faults.ckpt_rot(gen.seq, kManifestPartition, kManifestCopy, gen.manifest_repairs)))
+        faults.ckpt_rot(gen.seq, kCkptManifestPartition, kCkptManifestCopy,
+                        gen.manifest_repairs))
       gen.manifest_rotted = true;
     ++out.copies_verified;
     if (gen.manifest_rotted) {

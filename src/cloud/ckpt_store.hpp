@@ -48,7 +48,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cloud/faults.hpp"
@@ -56,9 +55,9 @@
 
 namespace pregel::cloud {
 
-/// Checkpoint-store policy knobs (ClusterConfig::ckpt). The scheduled_*
-/// vectors are deterministic test hooks that force a fault at an exact
-/// point independent of any rate stream.
+/// Checkpoint-store policy knobs (ClusterConfig::ckpt). Forced tears, rot
+/// and replica failures are ForcedFault entries in
+/// ClusterConfig::scheduled_failures, which the FaultInjector consults.
 struct CkptOptions {
   /// Write delta generations between bases (off = every generation full).
   bool delta_enabled = true;
@@ -70,20 +69,6 @@ struct CkptOptions {
   /// Scrub every N barriers (0 = off): re-verify all retained copies,
   /// re-replicate rotted/torn ones from a surviving copy.
   std::uint32_t scrub_period = 0;
-
-  /// Force a torn data-leg write: (checkpoint round ordinal, partition).
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> scheduled_leg_tears;
-  /// Force a torn manifest write at these checkpoint round ordinals (the
-  /// whole round is lost; the previous generation stays newest).
-  std::vector<std::uint64_t> scheduled_manifest_tears;
-  /// Force at-rest rot of a primary data leg: (publish serial, partition).
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> scheduled_leg_rot;
-  /// Force at-rest rot of a manifest: publish serials. A rotted manifest
-  /// fails chain verification for itself and every descendant delta.
-  std::vector<std::uint64_t> scheduled_manifest_rot;
-  /// Force the cross-zone replica round of these checkpoint round ordinals
-  /// to be abandoned (the generation publishes unreplicated).
-  std::vector<std::uint64_t> scheduled_replica_failures;
 
   /// Throws std::logic_error on zero retention or zero chain bound.
   void validate() const;
@@ -222,7 +207,7 @@ class CkptStore {
 
   /// Mark the newest generation's cross-zone replica round complete (or
   /// abandoned), drawing replica torn-write faults per leg. Returns false
-  /// when a scheduled_replica_failures entry forces the round abandoned —
+  /// when a forced replica failure abandons the round —
   /// the caller skips the replica transfer charge and counts the failure.
   bool complete_replica_round(FaultInjector& faults);
 
@@ -251,10 +236,6 @@ class CkptStore {
   std::uint64_t rounds_attempted() const noexcept { return rounds_; }
 
  private:
-  bool leg_scheduled(const std::vector<std::pair<std::uint64_t, std::uint32_t>>& sched,
-                     std::uint64_t key, std::uint32_t partition) const noexcept;
-  bool seq_scheduled(const std::vector<std::uint64_t>& sched,
-                     std::uint64_t key) const noexcept;
   /// Is this copy of the leg readable right now (not torn, not rotted)?
   /// Draws-and-caches the keyed rot state.
   bool copy_ok(const CkptGeneration& gen, CkptLeg& leg, std::uint32_t copy,
@@ -267,7 +248,7 @@ class CkptStore {
   std::uint32_t partitions_ = 0;
   std::vector<CkptGeneration> chain_;  ///< visible generations, oldest first
   std::uint64_t next_seq_ = 1;         ///< publish serials (never reused)
-  std::uint64_t rounds_ = 0;           ///< write rounds attempted (tear-hook key)
+  std::uint64_t rounds_ = 0;           ///< write rounds attempted (forced-fault key)
   std::uint32_t deltas_since_base_ = 0;
 };
 

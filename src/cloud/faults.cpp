@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -87,7 +88,28 @@ void RetryPolicy::validate() const {
   if (op_deadline <= 0.0) throw std::logic_error("RetryPolicy: op_deadline must be > 0");
 }
 
-FaultInjector::FaultInjector(FaultPlan plan) : plan_(plan) { plan_.validate(); }
+FaultInjector::FaultInjector(FaultPlan plan, std::vector<ForcedFault> forced)
+    : plan_(plan), forced_(std::move(forced)) {
+  plan_.validate();
+}
+
+bool FaultInjector::forced(ForcedFault::Kind kind, std::uint64_t at,
+                           std::optional<std::uint32_t> target) const noexcept {
+  return std::any_of(forced_.begin(), forced_.end(), [&](const ForcedFault& f) {
+    return f.kind == kind && f.at == at && (!target || f.target == *target);
+  });
+}
+
+std::optional<std::uint32_t> FaultInjector::take(ForcedFault::Kind kind, std::uint64_t at,
+                                                 std::uint32_t limit) {
+  const auto it = std::find_if(forced_.begin(), forced_.end(), [&](const ForcedFault& f) {
+    return f.kind == kind && f.at == at && f.target < limit;
+  });
+  if (it == forced_.end()) return std::nullopt;
+  const std::uint32_t target = it->target;
+  forced_.erase(it);
+  return target;
+}
 
 double FaultInjector::next_uniform(FaultKind kind) noexcept {
   const CounterStream& st = stream_of(kind);
@@ -169,6 +191,36 @@ bool FaultInjector::zone_outage(std::uint32_t zone, std::uint64_t superstep,
   return u01(key) < plan_.zone_outage_rate;
 }
 
+std::optional<std::uint32_t> FaultInjector::worker_death(std::uint64_t superstep,
+                                                         std::uint64_t epoch,
+                                                         std::uint32_t workers) {
+  if (const auto vm = take(ForcedFault::Kind::kWorkerDeath, superstep, workers)) return vm;
+  for (std::uint32_t w = 0; w < workers; ++w)
+    if (vm_preempted(w, superstep, epoch)) return w;
+  return std::nullopt;
+}
+
+std::optional<std::uint32_t> FaultInjector::zone_outage_at(std::uint64_t superstep,
+                                                           std::uint64_t epoch,
+                                                           std::uint32_t zones) {
+  if (const auto zone = take(ForcedFault::Kind::kZoneOutage, superstep, zones)) return zone;
+  for (std::uint32_t z = 0; z < zones; ++z)
+    if (zone_outage(z, superstep, epoch)) return z;
+  return std::nullopt;
+}
+
+bool FaultInjector::ckpt_torn(std::uint64_t round, std::uint32_t partition) {
+  const bool forced_tear =
+      partition == kCkptManifestPartition
+          ? forced(ForcedFault::Kind::kManifestTear, round)
+          : forced(ForcedFault::Kind::kLegTear, round, partition);
+  return forced_tear || next_ckpt_torn();
+}
+
+bool FaultInjector::replica_round_fails(std::uint64_t round) const noexcept {
+  return forced(ForcedFault::Kind::kReplicaFailure, round);
+}
+
 bool FaultInjector::next_ckpt_torn() noexcept {
   if (plan_.ckpt_torn_write_rate <= 0.0) return false;
   return next_uniform(FaultKind::kCkptTornWrite) < plan_.ckpt_torn_write_rate;
@@ -176,6 +228,10 @@ bool FaultInjector::next_ckpt_torn() noexcept {
 
 bool FaultInjector::ckpt_rot(std::uint64_t serial, std::uint32_t partition,
                              std::uint32_t copy, std::uint32_t repair_epoch) const noexcept {
+  if (repair_epoch == 0 &&
+      ((copy == 0 && forced(ForcedFault::Kind::kLegRot, serial, partition)) ||
+       (copy == kCkptManifestCopy && forced(ForcedFault::Kind::kManifestRot, serial))))
+    return true;
   if (plan_.ckpt_rot_rate <= 0.0) return false;
   const std::uint64_t key =
       mix64((plan_.seed + kCorruptionTag) ^ (serial * 0x1000193ULL) ^

@@ -23,6 +23,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "util/units.hpp"
 
@@ -128,6 +130,34 @@ struct FaultPlan {
   void validate() const;
 };
 
+/// One fault forced at an exact point, independent of every rate stream:
+/// the deterministic crash points that tests, benches and the soak pin.
+/// `at` is the kind's key — a superstep for worker deaths and zone
+/// outages, a checkpoint round ordinal for tears and replica failures, a
+/// publish serial for rot. `target` is the worker VM, zone or partition;
+/// the manifest and replica kinds ignore it, and an out-of-range target
+/// never fires. `{superstep, vm}` alone is a worker death.
+struct ForcedFault {
+  enum class Kind : std::uint8_t {
+    kWorkerDeath,     ///< VM `target` dies at superstep `at` (fires once)
+    kZoneOutage,      ///< zone `target` goes dark at superstep `at` (fires once)
+    kLegTear,         ///< round `at`'s data leg of partition `target` lands torn
+    kManifestTear,    ///< round `at`'s manifest lands torn: the round is lost
+    kReplicaFailure,  ///< round `at`'s cross-zone replica round is abandoned
+    kLegRot,          ///< the primary leg of partition `target` rots in serial `at`
+    kManifestRot,     ///< the manifest of serial `at` rots
+  };
+  std::uint64_t at = 0;
+  std::uint32_t target = 0;
+  Kind kind = Kind::kWorkerDeath;
+};
+
+/// Checkpoint-store keys the injector interprets: the partition key of a
+/// generation's manifest (out of any leg's range) in ckpt_torn/ckpt_rot,
+/// and ckpt_rot's copy ids (0 = primary leg, 1 = replica leg).
+inline constexpr std::uint32_t kCkptManifestPartition = 0xFFFFFFFFu;
+inline constexpr std::uint32_t kCkptManifestCopy = 2;
+
 /// Client-side retry discipline for control-plane storage operations:
 /// exponential backoff with decorrelated jitter (sleep_{n+1} drawn uniformly
 /// from [base, 3*sleep_n], capped), bounded attempts, and a per-operation
@@ -153,15 +183,19 @@ struct RetryOutcome {
   Seconds extra_latency = 0.0;  ///< failed-attempt latency + backoff sleeps
 };
 
-/// Deterministic fault source. Queue/blob/duplicate/torn-write draws consume
-/// per-kind stream counters (call order within a kind is the replay key);
+/// Deterministic fault source, and the one module that decides when a
+/// fault fires. Queue/blob/duplicate/torn-write draws consume per-kind
+/// stream counters (call order within a kind is the replay key);
 /// preemption and slowdown draws are keyed by (vm, superstep) so they are
 /// call-order independent, with preemption additionally keyed by the
 /// recovery epoch so a replayed superstep redraws instead of dying forever.
+/// Forced faults are consulted before the draws: a forced worker death or
+/// zone outage is consumed when it fires, the checkpoint kinds are pure
+/// lookups by their key.
 class FaultInjector {
  public:
   FaultInjector() = default;
-  explicit FaultInjector(FaultPlan plan);
+  explicit FaultInjector(FaultPlan plan, std::vector<ForcedFault> forced = {});
 
   const FaultPlan& plan() const noexcept { return plan_; }
 
@@ -180,26 +214,44 @@ class FaultInjector {
   /// redraw the same death at the same superstep.
   bool manager_preempted(std::uint64_t superstep, std::uint64_t epoch) const noexcept;
 
-  /// Correlated-failure draw: does availability `zone` go dark at
-  /// `superstep` in recovery `epoch`?
-  bool zone_outage(std::uint32_t zone, std::uint64_t superstep,
-                   std::uint64_t epoch) const noexcept;
+  /// The VM among `workers` that dies at `superstep`: the first forced
+  /// death listed for it (consumed, so a replay of the superstep does not
+  /// fire it again), else the lowest VM whose worker-death draw hits at
+  /// recovery `epoch`.
+  std::optional<std::uint32_t> worker_death(std::uint64_t superstep, std::uint64_t epoch,
+                                            std::uint32_t workers);
+
+  /// The zone among `zones` that goes dark at `superstep`: the first forced
+  /// outage listed for it (consumed), else the lowest zone whose outage
+  /// draw hits at recovery `epoch`.
+  std::optional<std::uint32_t> zone_outage_at(std::uint64_t superstep, std::uint64_t epoch,
+                                              std::uint32_t zones);
+
+  /// Does checkpoint round `round`'s write of `partition`'s data leg (or of
+  /// the manifest, at kCkptManifestPartition) land torn? A forced tear
+  /// skips the write's torn-write draw.
+  bool ckpt_torn(std::uint64_t round, std::uint32_t partition);
+
+  /// Is round `round`'s cross-zone replica round forced abandoned?
+  bool replica_round_fails(std::uint64_t round) const noexcept;
 
   /// Duplicate-delivery draw for one tallied barrier check-in: true when the
   /// remove() is lost and the message will be redelivered. Consumes the
   /// kQueueDuplicate stream counter; a zero rate draws nothing.
   bool next_duplicate() noexcept;
 
-  /// Torn-write draw for one checkpoint-store blob write (data leg,
-  /// manifest, or replica leg). Consumes the kCkptTornWrite stream counter;
-  /// a zero rate draws nothing.
+  /// Torn-write draw alone for one checkpoint-store blob write (a replica
+  /// leg; ckpt_torn wraps it for data legs and manifests). Consumes the
+  /// kCkptTornWrite stream counter; a zero rate draws nothing.
   bool next_ckpt_torn() noexcept;
 
-  /// At-rest bit-rot draw for checkpoint blob copy `copy` (0 = primary,
-  /// 1 = replica) of partition `partition` in the generation published with
-  /// `serial`. Pure function of the key, so restore walks and scrub passes
-  /// agree on which copies rotted; `repair_epoch` counts scrub repairs of
-  /// this copy so a rewritten blob redraws instead of rotting forever.
+  /// At-rest bit rot of checkpoint blob copy `copy` (0 = primary, 1 =
+  /// replica, kCkptManifestCopy = manifest) of partition `partition` in the
+  /// generation published with `serial`. Pure function of the key, so
+  /// restore walks and scrub passes agree on which copies rotted;
+  /// `repair_epoch` counts scrub repairs of this copy so a rewritten blob
+  /// redraws instead of rotting forever. A forced rot hits the primary or
+  /// the manifest, and only at repair epoch 0.
   bool ckpt_rot(std::uint64_t serial, std::uint32_t partition, std::uint32_t copy,
                 std::uint32_t repair_epoch) const noexcept;
 
@@ -218,8 +270,21 @@ class FaultInjector {
  private:
   /// Uniform [0,1) from the kind's counter stream; advances the counter.
   double next_uniform(FaultKind kind) noexcept;
+  /// Correlated-failure draw: does availability `zone` go dark at
+  /// `superstep` in recovery `epoch`?
+  bool zone_outage(std::uint32_t zone, std::uint64_t superstep,
+                   std::uint64_t epoch) const noexcept;
+  /// Is a forced fault of `kind` keyed `at` listed (aimed at `target`, for
+  /// the kinds that have one)?
+  bool forced(ForcedFault::Kind kind, std::uint64_t at,
+              std::optional<std::uint32_t> target = std::nullopt) const noexcept;
+  /// Remove and return the target of the first forced fault of `kind` keyed
+  /// `at` whose target is below `limit`.
+  std::optional<std::uint32_t> take(ForcedFault::Kind kind, std::uint64_t at,
+                                    std::uint32_t limit);
 
   FaultPlan plan_;
+  std::vector<ForcedFault> forced_;
   std::array<std::uint64_t, kFaultKinds> draws_{};
 };
 

@@ -91,19 +91,17 @@ struct ClusterConfig {
   // -- Fault tolerance (Pregel's checkpoint/recovery, which the paper lists
   // -- among the advanced features its framework could support) ------------
   /// Write a checkpoint to blob storage every N supersteps (0 = off). A
-  /// worker failure (`faults.vm_preemption_rate`, or one scheduled below)
+  /// worker failure (`faults.vm_preemption_rate`, or one forced below)
   /// with no checkpoint taken fails the job; with checkpoints the engine
   /// rolls back and replays.
   std::uint64_t checkpoint_interval = 0;
-  /// Explicitly scheduled failures: (superstep, worker VM). Each fires once.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> scheduled_failures;
-  /// Explicitly scheduled whole-zone outages: (superstep, zone). Each fires
-  /// once, preempting every VM in the zone — the deterministic counterpart
-  /// of the seeded zone-outage stream for crash-point tests.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> scheduled_zone_outages;
-  /// Generational checkpoint-store policy: delta chains, retention/GC,
-  /// background scrub, and deterministic crash-point hooks (see
-  /// docs/FAULTS.md "Checkpoint store").
+  /// Every forced fault of the run, each at an exact point independent of
+  /// the rate streams: worker deaths and zone outages (each fires once),
+  /// checkpoint leg/manifest tears, replica-round failures and at-rest rot
+  /// (see cloud::ForcedFault). `{superstep, vm}` is a worker death.
+  std::vector<cloud::ForcedFault> scheduled_failures;
+  /// Generational checkpoint-store policy: delta chains, retention/GC and
+  /// background scrub (see docs/FAULTS.md "Checkpoint store").
   cloud::CkptOptions ckpt;
   /// Modeled time to detect a dead worker (missed barrier heartbeats),
   /// acquire a replacement VM, and have every worker reload the checkpoint
@@ -163,11 +161,13 @@ struct DirectionOptions {
     kAlways,  ///< always pull once any vertex broadcasts (testing/benching)
   };
   Mode mode = Mode::kAuto;
-  /// Enter pull when frontier out-arcs > total arcs / alpha.
-  double alpha = 15.0;
-  /// Return to push when frontier vertices < total vertices / beta.
-  double beta = 24.0;
 };
+
+/// kAuto's switch thresholds: enter pull when frontier out-arcs > total
+/// arcs / alpha, return to push when frontier vertices < total vertices /
+/// beta (Beamer, Asanović & Patterson's defaults).
+inline constexpr double kDirectionAlpha = 15.0;
+inline constexpr double kDirectionBeta = 24.0;
 
 /// Active vertices per frontier chunk when JobOptions::frontier_grain is 0.
 /// 256 keeps a chunk's slice within a few cache lines of active indices

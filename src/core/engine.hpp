@@ -1135,11 +1135,11 @@ class Engine final : public EngineCore {
     }
     if (!pull_mode_) {
       if (static_cast<double>(frontier_arcs) >
-          static_cast<double>(graph_->num_arcs()) / opts_.direction.alpha)
+          static_cast<double>(graph_->num_arcs()) / kDirectionAlpha)
         pull_mode_ = true;
     } else {
       if (static_cast<double>(frontier_v) <
-          static_cast<double>(graph_->num_vertices()) / opts_.direction.beta)
+          static_cast<double>(graph_->num_vertices()) / kDirectionBeta)
         pull_mode_ = false;
     }
     pull_this_step_ = pull_mode_;

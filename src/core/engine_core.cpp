@@ -205,8 +205,6 @@ void EngineCore::reset_run_state(const JobOptions& opts) {
   ckpt_.configure(cluster_.ckpt, static_cast<std::uint32_t>(parts_.size()));
   track_dirty_ = cluster_.checkpoint_interval > 0 && cluster_.ckpt.delta_enabled;
   barriers_since_scrub_ = 0;
-  scheduled_failures_ = cluster_.scheduled_failures;
-  scheduled_zone_outages_ = cluster_.scheduled_zone_outages;
   failure_epoch_ = 0;
   superstep_ = 0;
   halt_requested_ = false;
@@ -256,7 +254,7 @@ void EngineCore::reset_run_state(const JobOptions& opts) {
   peak_spillable_since_initiation_ = 0;
   last_superstep_span_ = 0.0;
 
-  faults_ = cloud::FaultInjector(cluster_.faults);
+  faults_ = cloud::FaultInjector(cluster_.faults, cluster_.scheduled_failures);
   pending_retry_latency_ = 0.0;
   control_failed_vm_.reset();
   replay_lost_vms_.clear();
@@ -769,7 +767,7 @@ void EngineCore::resize_fleet(std::uint32_t workers, bool charge_moves, const ch
   vm_straggler_counts_.assign(workers_now_, 0);
   recompute_baseline_memory();
   if (charge_moves) charge_partition_redistribution(old_placement);
-  if (cluster_.migration.enabled() && cluster_.migration.on_scaling) plan_and_migrate(why);
+  if (cluster_.migration.enabled()) plan_and_migrate(why);
 }
 
 /// Scale-in rung: when the active frontier has stayed below the density
@@ -1255,32 +1253,19 @@ std::string EngineCore::failure_description(const FailureEvent& event) const {
   return "worker VM " + std::to_string(event.dead.front()) + " failed";
 }
 
-/// All VMs lost at this barrier: a control op past its retry budget, the
-/// single-VM failure classes, then correlated zone outages (every VM in
-/// the drawn zone at once).
+/// All VMs lost at this barrier: a control op past its retry budget or a
+/// worker death, then a correlated zone outage (every VM in the zone at
+/// once). Forced and drawn faults alike come from the injector.
 EngineCore::FailureEvent EngineCore::collect_failures() {
   FailureEvent event;
   if (control_failed_vm_) {
     event.dead.push_back(*control_failed_vm_);
     control_failed_vm_.reset();
+  } else if (const auto vm = faults_.worker_death(superstep_, failure_epoch_, workers_now_)) {
+    event.dead.push_back(*vm);
   }
-  if (event.dead.empty()) {
-    if (const auto vm = failure_strikes()) event.dead.push_back(*vm);
-  }
-  if (cluster_.availability_zones > 1 && !event.zone) {
-    // Deterministic crash-point hook: an explicitly scheduled zone outage
-    // fires once, exactly like a drawn one.
-    for (auto it = scheduled_zone_outages_.begin(); it != scheduled_zone_outages_.end(); ++it) {
-      if (it->first != superstep_ || it->second >= zones_.zones) continue;
-      event.zone = it->second;
-      scheduled_zone_outages_.erase(it);
-      break;
-    }
-  }
-  if (cluster_.availability_zones > 1 && !event.zone && faults_.plan().zone_outage_rate > 0.0) {
-    for (std::uint32_t z = 0; z < zones_.zones && !event.zone; ++z)
-      if (faults_.zone_outage(z, superstep_, failure_epoch_)) event.zone = z;
-  }
+  if (cluster_.availability_zones > 1)
+    event.zone = faults_.zone_outage_at(superstep_, failure_epoch_, zones_.zones);
   if (event.zone) {
     // One domain per barrier is correlation enough.
     ++metrics().zone_outages;
@@ -1290,22 +1275,6 @@ EngineCore::FailureEvent EngineCore::collect_failures() {
   std::sort(event.dead.begin(), event.dead.end());
   event.dead.erase(std::unique(event.dead.begin(), event.dead.end()), event.dead.end());
   return event;
-}
-
-/// Worker death check at the barrier: explicitly scheduled failures, then
-/// the fault plan's seeded worker deaths. Returns the dead VM, or nullopt
-/// when everyone checked in.
-std::optional<std::uint32_t> EngineCore::failure_strikes() {
-  for (auto it = scheduled_failures_.begin(); it != scheduled_failures_.end(); ++it) {
-    if (it->first == superstep_ && it->second < workers_now_) {
-      const std::uint32_t vm = it->second;
-      scheduled_failures_.erase(it);
-      return vm;
-    }
-  }
-  for (std::uint32_t w = 0; w < workers_now_; ++w)
-    if (faults_.vm_preempted(w, superstep_, failure_epoch_)) return w;
-  return std::nullopt;
 }
 
 /// Is `vm` one of the VMs a confined replay is recomputing?

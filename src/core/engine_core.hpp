@@ -383,7 +383,6 @@ class EngineCore {
   // failures and recovery
   std::string failure_description(const FailureEvent& event) const;
   FailureEvent collect_failures();
-  std::optional<std::uint32_t> failure_strikes();
   bool confined_replay_active() const noexcept { return !replay_lost_vms_.empty(); }
   bool replay_lost(std::uint32_t vm) const noexcept;
   Bytes redelivery_bytes(std::uint32_t vm) const;
@@ -468,8 +467,6 @@ class EngineCore {
   cloud::CkptStore ckpt_;
   /// Barriers since the last background scrub pass (CkptOptions::scrub_period).
   std::uint32_t barriers_since_scrub_ = 0;
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> scheduled_failures_;
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> scheduled_zone_outages_;
   std::uint64_t failure_epoch_ = 0;
 
   /// Memory-pressure governor state: the ladder itself plus this superstep's

@@ -99,9 +99,18 @@ DiameterResult effective_diameter(const Graph& g, std::size_t samples, std::uint
   double dist_sum = 0.0;
   std::uint32_t max_seen = 0;
 
-  std::unordered_set<VertexId> chosen;
-  while (chosen.size() < samples)
-    chosen.insert(static_cast<VertexId>(rng.next_below(g.num_vertices())));
+  // Distinct sources in draw order. dist_sum adds small integers, so it is
+  // exact and the result does not depend on the order either way.
+  std::vector<VertexId> chosen;
+  chosen.reserve(samples);
+  std::vector<std::uint8_t> seen(g.num_vertices(), 0);
+  while (chosen.size() < samples) {
+    const auto v = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    if (!seen[v]) {
+      seen[v] = 1;
+      chosen.push_back(v);
+    }
+  }
 
   for (VertexId src : chosen) {
     const auto dist = bfs_distances(g, src);

@@ -149,12 +149,11 @@ class EdgeCutRefinePlanner final : public MigrationPlanner {
 
 /// Migration configuration carried on ClusterConfig. Migration is off
 /// unless a planner is installed; `period` consults the planner every k
-/// barriers (0 = only at scaling/governor events); `on_scaling` replans
-/// after every worker-count change.
+/// barriers (0 = only at scaling/governor events). With a planner, the
+/// engine also replans after every worker-count change.
 struct MigrationOptions {
   std::shared_ptr<MigrationPlanner> planner;
   std::uint64_t period = 0;
-  bool on_scaling = true;
   bool enabled() const noexcept { return planner != nullptr; }
 };
 

@@ -8,6 +8,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/ckpt_store.hpp"
@@ -18,6 +19,12 @@ namespace pregel::cloud {
 namespace {
 
 constexpr std::uint32_t kParts = 4;
+using Kind = ForcedFault::Kind;
+
+/// A zero-rate injector that fires only `forced`.
+FaultInjector forcing(std::vector<ForcedFault> forced) {
+  return FaultInjector(FaultPlan{}, std::move(forced));
+}
 
 CkptStore make_store(const CkptOptions& opts) {
   CkptStore store;
@@ -91,10 +98,8 @@ TEST(CkptStore, DeltaDisabledWritesOnlyBases) {
 }
 
 TEST(CkptStore, TornManifestLosesTheRoundAtomically) {
-  CkptOptions o;
-  o.scheduled_manifest_tears = {1};  // the second write round
-  CkptStore store = make_store(o);
-  FaultInjector faults;
+  CkptStore store = make_store(CkptOptions{});
+  FaultInjector faults = forcing({{1, 0, Kind::kManifestTear}});  // the second write round
   EXPECT_TRUE(publish(store, faults, 100, 2).published);
   const auto lost = publish(store, faults, 10, 4);
   EXPECT_TRUE(lost.manifest_torn);
@@ -125,10 +130,9 @@ TEST(CkptStore, RestorePlanPrefersNewestIntactGeneration) {
 }
 
 TEST(CkptStore, TornDeltaLegFallsBackOneGeneration) {
-  CkptOptions o;
-  o.scheduled_leg_tears = {{1, 2}};  // round 1 (first delta), partition 2
-  CkptStore store = make_store(o);
-  FaultInjector faults;
+  CkptStore store = make_store(CkptOptions{});
+  // Round 1 (first delta), partition 2.
+  FaultInjector faults = forcing({{1, 2, Kind::kLegTear}});
   publish(store, faults, 100, 2);
   publish(store, faults, 10, 4);  // newest, but its leg 2 landed torn
   auto plan = store.plan_restore(std::nullopt, faults);
@@ -144,9 +148,9 @@ TEST(CkptStore, CorruptMidChainDeltaFailsEveryDescendant) {
   // every newer delta built on it: the walk falls back two generations.
   CkptOptions o;
   o.max_chain_length = 8;
-  o.scheduled_leg_rot = {{2, 0}};  // publish serial 2 = first delta, partition 0
   CkptStore store = make_store(o);
-  FaultInjector faults;
+  // Publish serial 2 = first delta, partition 0.
+  FaultInjector faults = forcing({{2, 0, Kind::kLegRot}});
   publish(store, faults, 100, 2);  // seq 1: base
   publish(store, faults, 10, 4);   // seq 2: delta (rotted at rest)
   publish(store, faults, 10, 6);   // seq 3: delta needs seq 2 -> also unusable
@@ -157,10 +161,8 @@ TEST(CkptStore, CorruptMidChainDeltaFailsEveryDescendant) {
 }
 
 TEST(CkptStore, RottedManifestFailsChainVerification) {
-  CkptOptions o;
-  o.scheduled_manifest_rot = {2};
-  CkptStore store = make_store(o);
-  FaultInjector faults;
+  CkptStore store = make_store(CkptOptions{});
+  FaultInjector faults = forcing({{2, 0, Kind::kManifestRot}});
   publish(store, faults, 100, 2);
   publish(store, faults, 10, 4);  // seq 2, manifest rots at rest
   auto plan = store.plan_restore(std::nullopt, faults);
@@ -170,10 +172,8 @@ TEST(CkptStore, RottedManifestFailsChainVerification) {
 }
 
 TEST(CkptStore, EverythingBadFallsToGenerationZero) {
-  CkptOptions o;
-  o.scheduled_manifest_rot = {1};
-  CkptStore store = make_store(o);
-  FaultInjector faults;
+  CkptStore store = make_store(CkptOptions{});
+  FaultInjector faults = forcing({{1, 0, Kind::kManifestRot}});
   publish(store, faults, 100, 2);  // only uploaded generation; manifest rots
   auto plan = store.plan_restore(std::nullopt, faults);
   ASSERT_TRUE(plan.has_value());
@@ -204,10 +204,8 @@ TEST(CkptStore, ZoneLossReadsReplicaOrFallsBack) {
 }
 
 TEST(CkptStore, ScheduledReplicaFailureAbandonsTheRound) {
-  CkptOptions o;
-  o.scheduled_replica_failures = {0};
-  CkptStore store = make_store(o);
-  FaultInjector faults;
+  CkptStore store = make_store(CkptOptions{});
+  FaultInjector faults = forcing({{0, 0, Kind::kReplicaFailure}});
   publish(store, faults, 100, 2);
   EXPECT_FALSE(store.complete_replica_round(faults));
   EXPECT_FALSE(store.generations().back().replicated);
@@ -261,11 +259,8 @@ TEST(CkptStore, RetentionGcKeepsRestoreSetsIntact) {
 }
 
 TEST(CkptStore, ScrubRepairsRotAndManifests) {
-  CkptOptions o;
-  o.scheduled_leg_rot = {{1, 1}};
-  o.scheduled_manifest_rot = {1};
-  CkptStore store = make_store(o);
-  FaultInjector faults;
+  CkptStore store = make_store(CkptOptions{});
+  FaultInjector faults = forcing({{1, 1, Kind::kLegRot}, {1, 0, Kind::kManifestRot}});
   publish(store, faults, 100, 2);
   const auto out = store.scrub(faults);
   EXPECT_EQ(out.repairs, 1u);
@@ -273,7 +268,7 @@ TEST(CkptStore, ScrubRepairsRotAndManifests) {
   EXPECT_EQ(out.repaired_bytes, 100u);
   EXPECT_GT(out.copies_verified, 0u);
   // Repaired copies verify on the next walk and the next scrub finds
-  // nothing (the scheduled rot applies to the pre-repair epoch only).
+  // nothing (the forced rot applies to the pre-repair epoch only).
   const auto again = store.scrub(faults);
   EXPECT_EQ(again.repairs, 0u);
   EXPECT_EQ(again.manifest_repairs, 0u);

@@ -21,6 +21,7 @@ namespace {
 
 using algos::PageRankProgram;
 using algos::SsspProgram;
+using Kind = cloud::ForcedFault::Kind;
 
 ClusterConfig base_cluster() {
   ClusterConfig c;
@@ -57,8 +58,8 @@ TEST(CkptRecovery, TornDeltaLegFallsBackOneGeneration) {
   PageRankFixture fx;
   ClusterConfig c = base_cluster();
   c.checkpoint_interval = 2;               // rounds after supersteps 1, 3, 5...
-  c.ckpt.scheduled_leg_tears = {{2, 1}};   // round 2 = seq 3, partition 1
-  c.scheduled_failures = {{6, 0}};
+  c.scheduled_failures = {{2, 1, Kind::kLegTear},  // round 2 = seq 3, partition 1
+                          {6, 0}};
   Engine<PageRankProgram> e(fx.g, {25, 0.85}, c, fx.parts);
   const auto r = e.run(fx.opts);
   fx.expect_exact(r);
@@ -76,8 +77,8 @@ TEST(CkptRecovery, TornManifestLosesTheRoundNotTheJob) {
   PageRankFixture fx;
   ClusterConfig c = base_cluster();
   c.checkpoint_interval = 2;
-  c.ckpt.scheduled_manifest_tears = {2};   // round 2 lost at the publish step
-  c.scheduled_failures = {{6, 2}};
+  c.scheduled_failures = {{2, 0, Kind::kManifestTear},  // round 2 lost at the publish step
+                          {6, 2}};
   Engine<PageRankProgram> e(fx.g, {25, 0.85}, c, fx.parts);
   const auto r = e.run(fx.opts);
   fx.expect_exact(r);
@@ -96,8 +97,8 @@ TEST(CkptRecovery, CorruptMidChainDeltaForcesTwoGenerationFallback) {
   PageRankFixture fx;
   ClusterConfig c = base_cluster();
   c.checkpoint_interval = 2;               // seq 1 base, seq 2-3 deltas on it
-  c.ckpt.scheduled_leg_rot = {{2, 0}};     // publish serial 2, partition 0
-  c.scheduled_failures = {{6, 1}};
+  c.scheduled_failures = {{2, 0, Kind::kLegRot},  // publish serial 2, partition 0
+                          {6, 1}};
   Engine<PageRankProgram> e(fx.g, {25, 0.85}, c, fx.parts);
   const auto r = e.run(fx.opts);
   fx.expect_exact(r);
@@ -113,8 +114,8 @@ TEST(CkptRecovery, CorruptManifestFailsChainVerification) {
   PageRankFixture fx;
   ClusterConfig c = base_cluster();
   c.checkpoint_interval = 2;
-  c.ckpt.scheduled_manifest_rot = {3};     // newest generation's manifest
-  c.scheduled_failures = {{6, 3}};
+  c.scheduled_failures = {{3, 0, Kind::kManifestRot},  // newest generation's manifest
+                          {6, 3}};
   Engine<PageRankProgram> e(fx.g, {25, 0.85}, c, fx.parts);
   const auto r = e.run(fx.opts);
   fx.expect_exact(r);
@@ -130,8 +131,9 @@ TEST(CkptRecovery, AllGenerationsCorruptFallsToInputGraph) {
   PageRankFixture fx;
   ClusterConfig c = base_cluster();
   c.checkpoint_interval = 2;
-  c.ckpt.scheduled_manifest_rot = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
-  c.scheduled_failures = {{5, 0}};
+  for (std::uint64_t serial = 1; serial <= 12; ++serial)
+    c.scheduled_failures.push_back({serial, 0, Kind::kManifestRot});
+  c.scheduled_failures.push_back({5, 0});
   Engine<PageRankProgram> e(fx.g, {25, 0.85}, c, fx.parts);
   const auto r = e.run(fx.opts);
   fx.expect_exact(r);
@@ -147,7 +149,7 @@ TEST(CkptRecovery, ZoneOutageRestoresThroughReplicas) {
   ClusterConfig c = base_cluster();
   c.checkpoint_interval = 2;
   c.availability_zones = 2;
-  c.scheduled_zone_outages = {{5, 0}};
+  c.scheduled_failures = {{5, 0, Kind::kZoneOutage}};
   Engine<PageRankProgram> e(fx.g, {25, 0.85}, c, fx.parts);
   const auto r = e.run(fx.opts);
   fx.expect_exact(r);
@@ -167,8 +169,8 @@ TEST(CkptRecovery, UnreplicatedGenerationSkippedUnderZoneLoss) {
   ClusterConfig c = base_cluster();
   c.checkpoint_interval = 2;
   c.availability_zones = 2;
-  c.ckpt.scheduled_replica_failures = {1};  // round 1 = seq 2 publishes bare
-  c.scheduled_zone_outages = {{5, 0}};
+  c.scheduled_failures = {{1, 0, Kind::kReplicaFailure},  // round 1 = seq 2 publishes bare
+                          {5, 0, Kind::kZoneOutage}};
   Engine<PageRankProgram> e(fx.g, {25, 0.85}, c, fx.parts);
   const auto r = e.run(fx.opts);
   fx.expect_exact(r);
@@ -236,9 +238,9 @@ TEST(CkptRecovery, ScrubRepairsAreVisibleAndRestoreSucceeds) {
   ClusterConfig c = base_cluster();
   c.checkpoint_interval = 2;
   c.ckpt.scrub_period = 2;
-  c.ckpt.scheduled_leg_rot = {{1, 0}};
-  c.ckpt.scheduled_manifest_rot = {1};
-  c.scheduled_failures = {{14, 0}};  // long after the scrub repaired seq 1
+  c.scheduled_failures = {{1, 0, Kind::kLegRot},
+                          {1, 0, Kind::kManifestRot},
+                          {14, 0}};  // long after the scrub repaired seq 1
   Engine<PageRankProgram> e(fx.g, {25, 0.85}, c, fx.parts);
   const auto r = e.run(fx.opts);
   fx.expect_exact(r);
