@@ -43,10 +43,12 @@
 //
 // Programs that declare `kDirectionOptimized` additionally get Beamer-style
 // direction optimization: when the modeled frontier is dense, a broadcast
-// superstep runs in "pull" mode — send_to_all_neighbors captures one
-// broadcast record per sender instead of materializing a staged message per
-// out-edge, and each destination partition synthesizes its inbox by merging
-// its in-neighbors' broadcasts (rank order) with any pointwise sends. The
+// superstep runs in "pull" mode — send_to_all_neighbors appends one
+// broadcast record to the computing chunk's scratch instead of materializing
+// a staged message per out-edge, each sender publishes one packed slot
+// (where its records are, how many, its rank, partition and combining
+// domain), and each destination partition synthesizes its inbox by merging
+// its in-neighbors' slots (rank order) with any pointwise sends. The
 // synthesized stream is the push stream, message for message, so the switch
 // is invisible to results and metrics; the decision itself uses modeled
 // density only and is part of the bit-identity contract.
@@ -483,6 +485,26 @@ class Engine final : public EngineCore {
     M message;
   };
 
+  /// One pull-mode send_to_all_neighbors call: the sender's emission seq and
+  /// the payload every out-edge would have carried.
+  struct BroadcastRecord {
+    std::uint32_t seq;
+    M message;
+  };
+
+  /// Everything a pull-mode merge reads of one sender, packed so an in-edge
+  /// costs one load plus the record itself: the sender's records (a run in
+  /// its chunk's scratch), its immutable rank, its current partition and its
+  /// combining domain. count == 0 means the vertex broadcast nothing this
+  /// superstep.
+  struct BroadcastSlot {
+    const BroadcastRecord* first = nullptr;
+    std::uint32_t count = 0;
+    std::uint32_t rank = 0;
+    std::uint32_t partition = 0;
+    std::uint8_t combine_src = 0;
+  };
+
   /// A staged pointwise send queued for a pull-mode merge, with its source
   /// partition.
   struct PullSend {
@@ -529,7 +551,10 @@ class Engine final : public EngineCore {
     std::vector<StagedRootDone> roots;
     std::vector<std::uint32_t> activations;  ///< locals of this chunk's partition
     std::vector<std::pair<std::uint64_t, std::uint32_t>> wakes;  ///< (at, local)
-    std::vector<VertexId> broadcasters;  ///< senders with pull-mode records
+    /// Pull-mode broadcasts, sender-major (one compute() call is contiguous),
+    /// and each sender with the index of its first record.
+    std::vector<BroadcastRecord> records;
+    std::vector<std::pair<VertexId, std::uint32_t>> broadcasters;
     cloud::WorkerLoad load;
     Bytes drained_bytes = 0;
     std::int64_t state_delta = 0;
@@ -570,10 +595,10 @@ class Engine final : public EngineCore {
         direction_capable() && opts_.direction.mode != DirectionOptions::Mode::kOff;
     pull_mode_ = pull_this_step_ = false;
     if (direction_enabled_) {
-      broadcast_store_.assign(graph_->num_vertices(), {});
+      broadcast_slots_.assign(graph_->num_vertices(), {});
       pull_sends_.resize(parts_.size());
     } else {
-      broadcast_store_.clear();
+      broadcast_slots_.clear();
       pull_sends_.clear();
     }
     send_scratch_.assign(parts_.size() * parts_.size(), {});
@@ -743,6 +768,16 @@ class Engine final : public EngineCore {
       if (track_dirty_ && ctx.mutated_) ps.dirty[l] = 1;
       for (const M& m : box) cs.drained_bytes += cost_.buffered_bytes(payload_bytes(m));
     }
+    // Publish this chunk's pull-mode senders; its records no longer move.
+    // Each vertex computes in exactly one chunk, so lanes write disjoint slots.
+    for (std::size_t i = 0; i < cs.broadcasters.size(); ++i) {
+      const auto [v, first] = cs.broadcasters[i];
+      const std::size_t end =
+          i + 1 < cs.broadcasters.size() ? cs.broadcasters[i + 1].second : cs.records.size();
+      broadcast_slots_[v] = {cs.records.data() + first, static_cast<std::uint32_t>(end - first),
+                             rank_of_[v], ref.partition,
+                             static_cast<std::uint8_t>(placement_[orig_part_[v]])};
+    }
   }
 
   /// Activations and wakes staged by partition q's own chunks, applied by
@@ -858,9 +893,10 @@ class Engine final : public EngineCore {
   /// matches push message for message. The rank merge yields the pointwise
   /// sends in (rank, seq) order and the seal's stable counting sort groups
   /// them by target, so each target's sends come out (rank, seq)-sorted in
-  /// O(sends). Parallel edges: a broadcast record is delivered once per
-  /// adjacent duplicate in the in-neighbor list (record-major, exactly the
-  /// per-target order the push loop produces).
+  /// O(sends). Each in-edge reads one BroadcastSlot. Parallel edges: a
+  /// broadcast record is delivered once per adjacent duplicate in the
+  /// in-neighbor list (record-major, exactly the per-target order the push
+  /// loop produces).
   void merge_destination_pull(std::uint32_t q, std::size_t staged) {
     const std::size_t n = parts_.size();
     const PartitionMeta& dst = parts_[q];
@@ -869,7 +905,7 @@ class Engine final : public EngineCore {
     std::size_t deliveries = staged;
     for (const VertexId gu : dst.vertices)
       for (std::size_t e = pull_off_[gu]; e < pull_off_[gu + 1]; ++e)
-        deliveries += broadcast_store_[pull_src_[e]].size();
+        deliveries += broadcast_slots_[pull_src_[e]].count;
     data_[q].inbox.reserve(deliveries);
     InboxArena<PullSend>& sends = pull_sends_[q];
     sends.reset(static_cast<std::uint32_t>(dst.vertices.size()), false);
@@ -889,46 +925,35 @@ class Engine final : public EngineCore {
       const VertexId gu = dst.vertices[u];
       std::size_t ei = pull_off_[gu];
       const std::size_t ie = pull_off_[gu + 1];
-      std::size_t ri = 0;  // record index within the current broadcast group
-      const auto skip_silent = [&] {
-        while (ei < ie && broadcast_store_[pull_src_[ei]].empty()) {
+      const BroadcastSlot* b = nullptr;  // the current broadcasting in-neighbor
+      std::size_t k = 0;                 // its parallel-edge multiplicity
+      std::uint32_t ri = 0;              // its next record
+      const auto next_broadcaster = [&] {
+        b = nullptr;
+        ri = 0;
+        while (b == nullptr && ei < ie) {
           const VertexId w = pull_src_[ei];
-          do ++ei;
-          while (ei < ie && pull_src_[ei] == w);
+          k = 1;
+          while (ei + k < ie && pull_src_[ei + k] == w) ++k;
+          ei += k;
+          if (broadcast_slots_[w].count != 0) b = &broadcast_slots_[w];
         }
       };
-      skip_silent();
-      while (pi < mine.size() || ei < ie) {
-        bool take_pending;
-        if (pi >= mine.size()) {
-          take_pending = false;
-        } else if (ei >= ie) {
-          take_pending = true;
-        } else {
-          const VertexId w = pull_src_[ei];
-          take_pending = std::pair(mine[pi].s->sender_rank, mine[pi].s->seq) <
-                         std::pair(rank_of_[w], broadcast_store_[w][ri].first);
-        }
-        if (take_pending) {
+      next_broadcaster();
+      while (pi < mine.size() || b != nullptr) {
+        if (b == nullptr || (pi < mine.size() &&
+                             std::pair(mine[pi].s->sender_rank, mine[pi].s->seq) <
+                                 std::pair(b->rank, b->first[ri].seq))) {
           const PullSend& send = mine[pi++];
           SendScratch& acc = send_scratch_[q * n + send.src];
           deliver(send.src, q, u, std::move(send.s->message), acc.load, acc.outbuf_bytes,
                   send.s->combine_src);
         } else {
-          const VertexId w = pull_src_[ei];
-          const auto& recs = broadcast_store_[w];
-          std::size_t k = 1;  // parallel-edge multiplicity (duplicates adjacent)
-          while (ei + k < ie && pull_src_[ei + k] == w) ++k;
-          const std::uint32_t sp = part_of_[w];
-          SendScratch& acc = send_scratch_[q * n + sp];
-          const std::uint8_t csrc = static_cast<std::uint8_t>(placement_[orig_part_[w]]);
+          SendScratch& acc = send_scratch_[q * n + b->partition];
           for (std::size_t j = 0; j < k; ++j)
-            deliver(sp, q, u, M(recs[ri].second), acc.load, acc.outbuf_bytes, csrc);
-          if (++ri >= recs.size()) {
-            ei += k;
-            ri = 0;
-            skip_silent();
-          }
+            deliver(b->partition, q, u, M(b->first[ri].message), acc.load, acc.outbuf_bytes,
+                    b->combine_src);
+          if (++ri == b->count) next_broadcaster();
         }
       }
     }
@@ -1013,12 +1038,14 @@ class Engine final : public EngineCore {
   }
 
   /// Drop this superstep's pull-mode broadcast records, releasing large
-  /// stores under the same drain-shrink policy as the inboxes.
+  /// chunk record buffers under the drain-shrink policy, and zero their
+  /// senders' slots.
   void clear_broadcast_records() {
     for (std::size_t c = 0; c < chunks_.size(); ++c) {
       ChunkScratch& cs = chunk_scratch_[c];
-      for (const VertexId v : cs.broadcasters) shrink_after_drain(broadcast_store_[v]);
+      for (const auto& sender : cs.broadcasters) broadcast_slots_[sender.first] = {};
       cs.broadcasters.clear();
+      shrink_after_drain(cs.records);
     }
   }
 
@@ -1193,19 +1220,21 @@ class Engine final : public EngineCore {
                                        cs.emit_seq++, std::move(message)});
   }
 
-  /// send_to_all_neighbors: in pull mode capture one broadcast record
-  /// instead of materializing a staged message per out-edge; the merge
-  /// synthesizes the per-edge stream on the destination side. Otherwise
-  /// expand to per-edge routes exactly as the classic push path. Forced
-  /// inline like route, which it expands into.
+  /// send_to_all_neighbors: in pull mode append one broadcast record to the
+  /// chunk's scratch instead of materializing a staged message per out-edge;
+  /// the merge synthesizes the per-edge stream on the destination side.
+  /// Otherwise expand to per-edge routes exactly as the classic push path.
+  /// Forced inline like route, which it expands into.
   [[gnu::always_inline]] void broadcast(std::uint32_t from_partition, VertexId v, const M& message,
                  std::size_t chunk) {
-    if (pull_this_step_) {
-      ChunkScratch& cs = chunk_scratch_[chunk];
-      auto& recs = broadcast_store_[v];
-      if (recs.empty()) cs.broadcasters.push_back(v);
-      recs.emplace_back(cs.emit_seq++, message);
-      return;
+    if constexpr (direction_capable()) {
+      if (pull_this_step_) {
+        ChunkScratch& cs = chunk_scratch_[chunk];
+        if (cs.broadcasters.empty() || cs.broadcasters.back().first != v)
+          cs.broadcasters.emplace_back(v, static_cast<std::uint32_t>(cs.records.size()));
+        cs.records.push_back({cs.emit_seq++, message});
+        return;
+      }
     }
     for (VertexId u : graph_->out_neighbors(v))
       route(from_partition, u, M(message), chunk);
@@ -1322,9 +1351,10 @@ class Engine final : public EngineCore {
   bool direction_enabled_ = false;  ///< program capable && mode != kOff
   bool pull_mode_ = false;          ///< hysteresis state of the heuristic
   bool pull_this_step_ = false;     ///< decision for the running superstep
-  /// Pull-mode broadcast capture: per sender, (emission seq, payload) in
-  /// call order. Sized once per run when direction is enabled.
-  std::vector<std::vector<std::pair<std::uint32_t, M>>> broadcast_store_;
+  /// Per vertex: where this superstep's broadcast records of that sender
+  /// are. Sized once per run when direction is enabled; compute_chunk fills
+  /// a sender's slot and clear_broadcast_records zeroes it.
+  std::vector<BroadcastSlot> broadcast_slots_;
   /// Global in-edge CSR with per-target lists rank-sorted (lazily built).
   std::vector<std::size_t> pull_off_;
   std::vector<VertexId> pull_src_;

@@ -1668,6 +1668,9 @@ bool EngineCore::apply_migration_plan(const MigrationPlan& plan, const char* why
     std::vector<std::uint32_t>& slot = move_of[moves[k].from];
     if (slot.empty())
       slot.assign(parts_[moves[k].from].vertices.size(), std::numeric_limits<std::uint32_t>::max());
+    // A second move of one vertex would list it in both target partitions.
+    PREGEL_CHECK_MSG(slot[local_of_[moves[k].v]] == std::numeric_limits<std::uint32_t>::max(),
+                     "migration plan names a vertex twice");
     slot[local_of_[moves[k].v]] = k;
   }
   for (std::uint32_t p = 0; p < parts_.size(); ++p)

@@ -1,6 +1,7 @@
 // Capacity policy for buffers that are filled and drained every superstep,
-// one small buffer per sender or per (chunk, destination): the engine's
-// staged outbox rows and its pull-mode broadcast records.
+// one small buffer per chunk or per (chunk, destination): the engine's
+// staged outbox rows and the pull-mode broadcast records each chunk's
+// scratch collects.
 //
 // One threshold, applied identically to every such buffer: after a drain,
 // capacity above kDrainShrinkElements is released to the allocator, anything

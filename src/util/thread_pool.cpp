@@ -157,11 +157,11 @@ void ThreadPool::run_steal(std::size_t lane) {
           best = j;
         }
       }
-      if (best == lanes_.size()) {
-        // Everything is claimed but not finished; wait for stragglers.
-        std::this_thread::yield();
-        continue;
-      }
+      // Nothing left to claim: retire. Items are queued only before an epoch
+      // starts and only a queue's owner steals into it, so every unclaimed
+      // item sits with a lane that is still running; stragglers finish
+      // theirs while the caller's done_cv_ wait holds the barrier.
+      if (best == lanes_.size()) return;
       std::size_t took = 0;
       {
         Lane& victim = *lanes_[best];

@@ -84,7 +84,8 @@ class ThreadPool {
 
   void worker_loop(std::size_t lane);
   /// Drain lane `lane`'s queue, stealing from the fullest victim when dry,
-  /// until every item of the current job has completed.
+  /// and return once no queue holds an item (a dry lane retires rather than
+  /// spinning while others finish their last items).
   void run_steal(std::size_t lane);
   void record_exception();
   /// Epoch hygiene (checked after every barrier): a stale body pointer or a

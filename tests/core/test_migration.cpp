@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -414,6 +415,31 @@ TEST(Migration, ScalingPolicyTriggersRedistributionAndReplan) {
   for (std::size_t v = 0; v < r.values.size(); ++v)
     EXPECT_EQ(r.values[v].distance, base.values[v].distance) << "vertex " << v;
   expect_same_logical_execution(r.metrics, base.metrics);
+}
+
+// A plan that names one vertex twice would leave a ghost copy computing in
+// the second target partition (extra messages, an extra active vertex);
+// the engine must reject it before anything moves.
+TEST(Migration, PlanNamingAVertexTwiceIsRejected) {
+  class TwiceMovingPlanner final : public MigrationPlanner {
+   public:
+    MigrationPlan plan(const RebalanceSignals& s) override {
+      const PartitionId from = (*s.part_of)[0];
+      const auto parts = static_cast<PartitionId>(s.active.size());
+      return {{{0, from, static_cast<PartitionId>((from + 1) % parts)},
+               {0, from, static_cast<PartitionId>((from + 2) % parts)}}};
+    }
+    std::string name() const override { return "twice"; }
+  };
+  const Graph g = barabasi_albert(600, 3, 71);
+  const ClusterConfig c =
+      with_forced_migration(eight_partitions_four_vms(), std::make_shared<TwiceMovingPlanner>(),
+                            /*period=*/1);
+  const auto parts = HashPartitioner{}.partition(g, c.num_partitions);
+  JobOptions o;
+  o.roots = {0};
+  Engine<SsspProgram> e(g, {}, c, parts);
+  EXPECT_THROW(e.run(o), std::logic_error);
 }
 
 }  // namespace

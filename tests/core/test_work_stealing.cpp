@@ -8,7 +8,11 @@
 // pull/push decisions — must replay exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "algos/bc.hpp"
@@ -17,6 +21,7 @@
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "partition/partitioner.hpp"
+#include "partition/rebalance.hpp"
 #include "support/determinism.hpp"
 
 namespace pregel {
@@ -163,6 +168,99 @@ TEST(DirectionOptimization, ModesAgreeBitIdentically) {
   Engine<SsspProgram> pulled(g, {}, c, parts);
   const auto rp = pulled.run(o);
   EXPECT_GT(rp.metrics.pull_supersteps, 0u);
+}
+
+/// BcProgram with a probe on its context: counts the compute() calls that
+/// both send pointwise and broadcast, the calls whose emissions the pull
+/// merge must interleave by (rank, seq).
+struct MixProbeBc : algos::BcProgram {
+  std::shared_ptr<std::atomic<std::uint64_t>> mixed =
+      std::make_shared<std::atomic<std::uint64_t>>(0);
+
+  template <class Ctx>
+  struct Probe {
+    Ctx& ctx;
+    bool sent = false;
+    bool broadcast = false;
+    std::uint64_t superstep() const { return ctx.superstep(); }
+    VertexId vertex_id() const { return ctx.vertex_id(); }
+    void wake_at(std::uint64_t at) { ctx.wake_at(at); }
+    void charge_state_bytes(std::int64_t delta) { ctx.charge_state_bytes(delta); }
+    void aggregate(std::uint64_t key, double value) { ctx.aggregate(key, value); }
+    void send(VertexId target, MessageValue m) {
+      sent = true;
+      ctx.send(target, m);
+    }
+    void send_to_all_neighbors(const MessageValue& m) {
+      broadcast = true;
+      ctx.send_to_all_neighbors(m);
+    }
+  };
+
+  template <class Ctx>
+  void compute(Ctx& ctx, VertexValue& v, std::span<const MessageValue> messages) const {
+    Probe<Ctx> probe{ctx};
+    algos::BcProgram::compute(probe, v, messages);
+    if (probe.sent && probe.broadcast) mixed->fetch_add(1, std::memory_order_relaxed);
+  }
+};
+
+// The pull merge's every input at once: parallel edges (a record delivered
+// once per duplicate in-edge), computes that mix pointwise sends with
+// broadcasts (overlapping BC swaths: one root's backward sweep beside
+// another's forward flood), and senders whose current partition and
+// combining domain differ after a migration at every barrier. Forced pull
+// must repeat forced push value for value and message for message.
+TEST(DirectionOptimization, PullMatchesPushOnMultigraphUnderMigration) {
+  const Graph simple = barabasi_albert(300, 3, 107);
+  GraphBuilder b(simple.num_vertices());
+  b.keep_duplicates();
+  std::size_t arcs = 0;
+  for (VertexId v = 0; v < simple.num_vertices(); ++v)
+    for (const VertexId u : simple.out_neighbors(v)) {
+      if (u < v) continue;
+      b.add_edge(v, u);
+      if (++arcs % 4 == 0) b.add_edge(v, u);  // every fourth edge doubled
+      if (arcs % 11 == 0) b.add_edge(u, v);   // and some tripled
+    }
+  const Graph g = b.build();
+  ASSERT_GT(g.num_arcs(), simple.num_arcs());
+
+  ClusterConfig c = eight_partitions_four_vms();
+  c.migration.planner = std::make_shared<ActivityGreedyPlanner>(/*tolerance=*/0.05);
+  c.migration.period = 1;
+  const auto parts = HashPartitioner{}.partition(g, c.num_partitions);
+
+  std::vector<VertexId> roots;
+  for (VertexId r = 0; r < 12; ++r) roots.push_back(r * 23 % 300);
+  for (const std::uint32_t lanes : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(lanes) + " lanes");
+    JobOptions o;
+    o.roots = roots;
+    o.swath = SwathPolicy::make(std::make_shared<StaticSwathSizer>(4),
+                                std::make_shared<StaticNInitiation>(2), 0);
+    o.parallelism = lanes;
+    o.direction.mode = DirectionOptions::Mode::kOff;
+    Engine<MixProbeBc> push(g, {}, c, parts);
+    const auto base = push.run(o);
+    ASSERT_FALSE(base.failed);
+    ASSERT_EQ(base.roots_completed, roots.size());
+    EXPECT_GT(base.metrics.migrations, 0u);
+
+    o.direction.mode = DirectionOptions::Mode::kAlways;
+    MixProbeBc probe;
+    Engine<MixProbeBc> pull(g, probe, c, parts);
+    const auto r = pull.run(o);
+    ASSERT_FALSE(r.failed);
+    EXPECT_GT(r.metrics.pull_supersteps, 0u);
+    EXPECT_GT(r.metrics.migrations, 0u);
+    EXPECT_GT(probe.mixed->load(), 0u) << "no compute mixed send and broadcast";
+    EXPECT_EQ(r.metrics.total_messages(), base.metrics.total_messages());
+    // Remote bytes are booked against each sender's current partition.
+    EXPECT_EQ(r.metrics.total_time, base.metrics.total_time);
+    for (std::size_t v = 0; v < r.values.size(); ++v)
+      EXPECT_EQ(r.values[v].bc_score, base.values[v].bc_score) << "vertex " << v;
+  }
 }
 
 // The auto heuristic's switch sequence is part of the modeled record: it must

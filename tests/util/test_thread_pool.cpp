@@ -117,5 +117,44 @@ TEST(ThreadPool, StealBarrierExceptionStillCompletesBarrier) {
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
+// A lane whose queue is dry and finds nothing to steal retires instead of
+// spinning. Every item starts on worker lane 1; the first one blocks until
+// all the others have run, so they finish only if the other lanes (the
+// caller's among them) steal them, and the caller's barrier must still
+// hold until that straggler returns.
+TEST(ThreadPool, DryLanesRetireWhileOneItemRuns) {
+  ThreadPool pool(4);
+  constexpr std::size_t kItems = 64;
+  std::vector<std::vector<std::size_t>> queues(pool.size());
+  for (std::size_t i = 0; i < kItems; ++i) queues[1].push_back(i);
+
+  std::vector<std::atomic<int>> hits(kItems);
+  std::atomic<std::size_t> others{0};
+  std::atomic<bool> timed_out{false};
+  std::atomic<bool> straggler_returned{false};
+  pool.parallel_steal(std::move(queues), [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    if (i != 0) {
+      others.fetch_add(1);
+      return;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (others.load() < kItems - 1 && !timed_out) {
+      if (std::chrono::steady_clock::now() > deadline) timed_out = true;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    straggler_returned = true;
+  });
+  EXPECT_TRUE(straggler_returned.load()) << "the barrier returned before its last item";
+  EXPECT_FALSE(timed_out.load()) << "the other items were never stolen";
+  EXPECT_EQ(others.load(), kItems - 1);
+  for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+
+  // The next barrier runs normally on the same pool.
+  std::vector<std::atomic<int>> again(100);
+  pool.parallel_for(again.size(), [&](std::size_t i) { again[i].fetch_add(1); });
+  for (std::size_t i = 0; i < again.size(); ++i) EXPECT_EQ(again[i].load(), 1) << i;
+}
+
 }  // namespace
 }  // namespace pregel
