@@ -45,13 +45,19 @@
 // direction optimization: when the modeled frontier is dense, a broadcast
 // superstep runs in "pull" mode — send_to_all_neighbors appends one
 // broadcast record to the computing chunk's scratch instead of materializing
-// a staged message per out-edge, each sender publishes one packed slot
-// (where its records are, how many, its rank, partition and combining
-// domain), and each destination partition synthesizes its inbox by merging
-// its in-neighbors' slots (rank order) with any pointwise sends. The
-// synthesized stream is the push stream, message for message, so the switch
-// is invisible to results and metrics; the decision itself uses modeled
-// density only and is part of the bit-identity contract.
+// a staged message per out-edge. After the compute barrier the records are
+// compacted into one immutable table (RecordTable, core/inbox.hpp), each
+// sender publishes one packed slot (where its records are, how many, its
+// rank, partition and combining domain), and each destination partition
+// synthesizes its inbox by merging its in-neighbors' slots (rank order) with
+// any pointwise sends. The synthesized stream is the push stream, message
+// for message, so the switch is invisible to results and metrics; the
+// decision itself uses modeled density only and is part of the bit-identity
+// contract. Where a 4-byte reference is smaller than the message, vertex
+// programs get the reference inbox layout (RefInboxArena): a pull delivery
+// appends a reference to the sender's record instead of a copy, the table
+// lives until the next superstep's compute has gathered every inbox, and
+// seeds, pointwise sends and deliveries under a combiner stay inline.
 //
 // All computation on vertex values is real; only *time* and *memory* are
 // modeled. Virtual time per superstep is
@@ -103,6 +109,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -456,6 +463,14 @@ class Engine final : public EngineCore {
       return false;
   }
 
+  /// Whether inboxes hold pull deliveries as references to broadcast records
+  /// (RefInboxArena): direction-capable vertex programs whose message is
+  /// larger than the 4-byte reference. Every other program keeps the inline
+  /// arena.
+  static constexpr bool kRefInbox =
+      direction_capable() && !subgraph_model() && sizeof(M) > sizeof(std::uint32_t);
+  using Inbox = std::conditional_t<kRefInbox, RefInboxArena<M>, InboxArena<M>>;
+
   // ---- per-partition state ------------------------------------------------
 
   /// The typed half of a partition; its metadata is parts_[p] in the core.
@@ -466,7 +481,7 @@ class Engine final : public EngineCore {
     /// Combiner chains run only while a combiner is active: a Pregel
     /// combiner is sender-side, so only messages that left the same worker
     /// may merge.
-    InboxArena<M> inbox;
+    Inbox inbox;
   };
 
   /// One emission captured during staged compute, pending the deterministic
@@ -493,12 +508,11 @@ class Engine final : public EngineCore {
   };
 
   /// Everything a pull-mode merge reads of one sender, packed so an in-edge
-  /// costs one load plus the record itself: the sender's records (a run in
-  /// its chunk's scratch), its immutable rank, its current partition and its
-  /// combining domain. count == 0 means the vertex broadcast nothing this
-  /// superstep.
+  /// costs one load: the sender's records (a run of the superstep's record
+  /// table), its immutable rank, its current partition and its combining
+  /// domain. count == 0 means the vertex broadcast nothing this superstep.
   struct BroadcastSlot {
-    const BroadcastRecord* first = nullptr;
+    std::uint32_t first = 0;
     std::uint32_t count = 0;
     std::uint32_t rank = 0;
     std::uint32_t partition = 0;
@@ -552,7 +566,9 @@ class Engine final : public EngineCore {
     std::vector<std::uint32_t> activations;  ///< locals of this chunk's partition
     std::vector<std::pair<std::uint64_t, std::uint32_t>> wakes;  ///< (at, local)
     /// Pull-mode broadcasts, sender-major (one compute() call is contiguous),
-    /// and each sender with the index of its first record.
+    /// and each sender with the index of its first record. The records move
+    /// to the superstep's table after the compute barrier; the senders stay
+    /// until the merge is done with their slots.
     std::vector<BroadcastRecord> records;
     std::vector<std::pair<VertexId, std::uint32_t>> broadcasters;
     cloud::WorkerLoad load;
@@ -601,6 +617,8 @@ class Engine final : public EngineCore {
       broadcast_slots_.clear();
       pull_sends_.clear();
     }
+    records_ = nullptr;
+    record_seq_.clear();
     send_scratch_.assign(parts_.size() * parts_.size(), {});
   }
 
@@ -648,6 +666,9 @@ class Engine final : public EngineCore {
     }
   }
 
+  /// Values and inboxes by copy. A reference-layout inbox copies its slots
+  /// and shares its record table, which is immutable, so the snapshot reads
+  /// the same messages however long it is kept.
   std::shared_ptr<const void> snapshot_partition_data() const override {
     return std::make_shared<const std::vector<PartitionData>>(data_);
   }
@@ -665,19 +686,20 @@ class Engine final : public EngineCore {
   /// arrival log prices its movers' buffered messages.
   void add_inbox_bytes(PartitionId p, std::span<const std::uint32_t> move_of,
                        std::vector<VertexMoveCost>& moves) const override {
-    const InboxArena<M>& inbox = data_[p].inbox;
+    const Inbox& inbox = data_[p].inbox;
     PREGEL_DCHECK(inbox.drained());
-    for (std::size_t i = 0; i < inbox.arrivals(); ++i) {
-      const std::uint32_t k = move_of[inbox.arrival_local(i)];
+    inbox.for_each_arrival([&](std::uint32_t local, std::size_t i) {
+      const std::uint32_t k = move_of[local];
       if (k != std::numeric_limits<std::uint32_t>::max())
         moves[k].bytes += cost_.buffered_bytes(payload_bytes(inbox.arrival(i)));
-    }
+    });
   }
 
   /// Each moved vertex carries its value and its buffered messages (with
   /// their combiner source domains). Messages are re-homed in log order:
   /// each vertex's messages come from one old log, so its own arrival
-  /// order, and with it its sealed inbox, is unchanged.
+  /// order, and with it its sealed inbox, is unchanged. A reference moves as
+  /// a reference: every log references the same superstep's table.
   void move_partition_data(
       std::span<const PartitionId> affected,
       const std::vector<std::vector<std::pair<PartitionId, std::uint32_t>>>& source,
@@ -696,15 +718,15 @@ class Engine final : public EngineCore {
       data_[affected[i]] = std::move(nd);
     }
     for (const PartitionId p : affected) {
-      InboxArena<M>& inbox = od.at(p).inbox;
+      Inbox& inbox = od.at(p).inbox;
       const std::vector<VertexId>& old_vertices = old.at(p).vertices;
       PREGEL_DCHECK(inbox.drained());
-      for (std::size_t i = 0; i < inbox.arrivals(); ++i) {
-        M& m = inbox.arrival(i);
-        const VertexId v = old_vertices[inbox.arrival_local(i)];
-        parts_[part_of_[v]].inbox_next_bytes += cost_.buffered_bytes(payload_bytes(m));
-        data_[part_of_[v]].inbox.append(local_of_[v], std::move(m), inbox.arrival_src(i));
-      }
+      inbox.for_each_arrival([&](std::uint32_t local, std::size_t i) {
+        const VertexId v = old_vertices[local];
+        parts_[part_of_[v]].inbox_next_bytes +=
+            cost_.buffered_bytes(payload_bytes(inbox.arrival(i)));
+        data_[part_of_[v]].inbox.append_from(inbox, i, local_of_[v]);
+      });
     }
   }
 
@@ -739,6 +761,13 @@ class Engine final : public EngineCore {
     }
   }
 
+  /// The buffer a reference-layout inbox is gathered into for compute: one
+  /// per host thread, so one per lane, reused across vertices and supersteps.
+  static std::vector<M>& lane_inbox() {
+    static thread_local std::vector<M> buffer;
+    return buffer;
+  }
+
   /// Drain one frontier chunk through compute(), staging every side effect
   /// in the chunk's scratch. Chunks write only their own scratch, their own
   /// vertices' values (disjoint: a vertex is in exactly one slice), and
@@ -750,6 +779,8 @@ class Engine final : public EngineCore {
     PartitionMeta& ps = parts_[ref.partition];
     PartitionData& pd = data_[ref.partition];
     ChunkScratch& cs = chunk_scratch_[c];
+    std::vector<M>* gathered = nullptr;
+    if constexpr (kRefInbox) gathered = &lane_inbox();
     for (std::uint32_t l : std::span(ps.active_cur).subspan(ref.first, ref.last - ref.first)) {
       // Tag emissions with the sender's immutable rank and its combining
       // domain. The domain is the VM of the vertex's *original* partition:
@@ -759,7 +790,11 @@ class Engine final : public EngineCore {
       cs.computing_src = static_cast<std::uint8_t>(placement_[orig_part_[ps.vertices[l]]]);
       cs.emit_seq = 0;
       VertexContext<Program> ctx(this, ref.partition, l, ps.vertices[l], c);
-      const std::span<const M> box = pd.inbox.messages(l);
+      std::span<const M> box;
+      if constexpr (kRefInbox)
+        box = pd.inbox.gather(l, *gathered);
+      else
+        box = pd.inbox.messages(l);
       ++cs.load.vertices_computed;
       cs.load.messages_processed += box.size();
       program_.compute(ctx, pd.values[l], box);
@@ -767,16 +802,6 @@ class Engine final : public EngineCore {
       // one chunk, so concurrent chunks write disjoint bytes.
       if (track_dirty_ && ctx.mutated_) ps.dirty[l] = 1;
       for (const M& m : box) cs.drained_bytes += cost_.buffered_bytes(payload_bytes(m));
-    }
-    // Publish this chunk's pull-mode senders; its records no longer move.
-    // Each vertex computes in exactly one chunk, so lanes write disjoint slots.
-    for (std::size_t i = 0; i < cs.broadcasters.size(); ++i) {
-      const auto [v, first] = cs.broadcasters[i];
-      const std::size_t end =
-          i + 1 < cs.broadcasters.size() ? cs.broadcasters[i + 1].second : cs.records.size();
-      broadcast_slots_[v] = {cs.records.data() + first, static_cast<std::uint32_t>(end - first),
-                             rank_of_[v], ref.partition,
-                             static_cast<std::uint8_t>(placement_[orig_part_[v]])};
     }
   }
 
@@ -896,17 +921,24 @@ class Engine final : public EngineCore {
   /// O(sends). Each in-edge reads one BroadcastSlot. Parallel edges: a
   /// broadcast record is delivered once per adjacent duplicate in the
   /// in-neighbor list (record-major, exactly the per-target order the push
-  /// loop produces).
+  /// loop produces). Deliveries reach q's log target by target, so a
+  /// reference-layout log records no targets.
   void merge_destination_pull(std::uint32_t q, std::size_t staged) {
     const std::size_t n = parts_.size();
     const PartitionMeta& dst = parts_[q];
+    const BulkVector<M>& table = *records_;
     // Size the log for every delivery up front (an upper bound under a
     // combiner): one pass over q's in-edges, far fewer than the deliveries.
     std::size_t deliveries = staged;
     for (const VertexId gu : dst.vertices)
       for (std::size_t e = pull_off_[gu]; e < pull_off_[gu + 1]; ++e)
         deliveries += broadcast_slots_[pull_src_[e]].count;
-    data_[q].inbox.reserve(deliveries);
+    if constexpr (kRefInbox) {
+      data_[q].inbox.reserve_grouped(deliveries, opts_combine_ ? deliveries : staged);
+      if (!opts_combine_) data_[q].inbox.refer_to(records_);
+    } else {
+      data_[q].inbox.reserve(deliveries);
+    }
     InboxArena<PullSend>& sends = pull_sends_[q];
     sends.reset(static_cast<std::uint32_t>(dst.vertices.size()), false);
     rank_merge(
@@ -943,7 +975,7 @@ class Engine final : public EngineCore {
       while (pi < mine.size() || b != nullptr) {
         if (b == nullptr || (pi < mine.size() &&
                              std::pair(mine[pi].s->sender_rank, mine[pi].s->seq) <
-                                 std::pair(b->rank, b->first[ri].seq))) {
+                                 std::pair(b->rank, record_seq_[b->first + ri]))) {
           const PullSend& send = mine[pi++];
           SendScratch& acc = send_scratch_[q * n + send.src];
           deliver(send.src, q, u, std::move(send.s->message), acc.load, acc.outbuf_bytes,
@@ -951,8 +983,7 @@ class Engine final : public EngineCore {
         } else {
           SendScratch& acc = send_scratch_[q * n + b->partition];
           for (std::size_t j = 0; j < k; ++j)
-            deliver(b->partition, q, u, M(b->first[ri].message), acc.load, acc.outbuf_bytes,
-                    b->combine_src);
+            deliver_record(table, b->first + ri, b->partition, q, u, acc, b->combine_src);
           if (++ri == b->count) next_broadcaster();
         }
       }
@@ -1020,6 +1051,8 @@ class Engine final : public EngineCore {
       ps.inbox_cur_bytes = 0;
       data_[p].inbox.drain();
     }
+    // After the drain, so the last table is released before this one is built.
+    if (pull_this_step_) compact_broadcast_records();
 
     for_each_partition([this](std::size_t q) {
       merge_destination(static_cast<std::uint32_t>(q));
@@ -1037,16 +1070,56 @@ class Engine final : public EngineCore {
     replay_staged_logs();
   }
 
-  /// Drop this superstep's pull-mode broadcast records, releasing large
-  /// chunk record buffers under the drain-shrink policy, and zero their
-  /// senders' slots.
+  /// Move this pull superstep's broadcast records, chunk by chunk (serial
+  /// order), into one table, their emission seqs into record_seq_, and
+  /// publish each sender's slot. Chunks copy on the pool into disjoint runs,
+  /// and each publishes only its own senders' slots. Chunk record buffers
+  /// are drained under the drain-shrink policy.
+  void compact_broadcast_records() {
+    std::vector<std::uint32_t> base(chunks_.size());
+    std::size_t total = 0;
+    for (std::size_t c = 0; c < chunks_.size(); ++c) {
+      base[c] = static_cast<std::uint32_t>(total);
+      total += chunk_scratch_[c].records.size();
+      PREGEL_CHECK_MSG(total < RefInboxArena<M>::kInline,
+                       "too many broadcast records in one superstep");
+    }
+    auto table = std::make_shared<BulkVector<M>>(total);
+    record_seq_.resize(total);
+    const auto compact = [&](std::size_t c) {
+      ChunkScratch& cs = chunk_scratch_[c];
+      for (std::size_t i = 0; i < cs.broadcasters.size(); ++i) {
+        const auto [v, first] = cs.broadcasters[i];
+        const std::size_t end =
+            i + 1 < cs.broadcasters.size() ? cs.broadcasters[i + 1].second : cs.records.size();
+        broadcast_slots_[v] = {base[c] + first, static_cast<std::uint32_t>(end - first),
+                               rank_of_[v], chunks_[c].partition,
+                               static_cast<std::uint8_t>(placement_[orig_part_[v]])};
+      }
+      for (std::size_t i = 0; i < cs.records.size(); ++i) {
+        (*table)[base[c] + i] = std::move(cs.records[i].message);
+        record_seq_[base[c] + i] = cs.records[i].seq;
+      }
+      shrink_after_drain(cs.records);
+    };
+    if (pool_ && chunks_.size() > 1)
+      pool_->parallel_for(chunks_.size(), compact);
+    else
+      for (std::size_t c = 0; c < chunks_.size(); ++c) compact(c);
+    records_ = std::move(table);
+  }
+
+  /// The merge is done with this superstep's records: zero their senders'
+  /// slots and drop the engine's hold on the table (reference-layout logs
+  /// keep their own).
   void clear_broadcast_records() {
     for (std::size_t c = 0; c < chunks_.size(); ++c) {
       ChunkScratch& cs = chunk_scratch_[c];
       for (const auto& sender : cs.broadcasters) broadcast_slots_[sender.first] = {};
       cs.broadcasters.clear();
-      shrink_after_drain(cs.records);
     }
+    records_ = nullptr;
+    record_seq_.clear();
   }
 
   // ---- subgraph-centric execution (docs/SUBGRAPH.md) ----------------------
@@ -1254,10 +1327,8 @@ class Engine final : public EngineCore {
   /// (perfbench pagerank-wg-serial).
   [[gnu::always_inline]] void deliver(std::uint32_t from_partition, std::uint32_t tp, std::uint32_t tl, M&& message,
                cloud::WorkerLoad& src_load, Bytes& src_outbuf, std::uint8_t combine_src) {
-    PartitionMeta& dst = parts_[tp];
-    InboxArena<M>& inbox = data_[tp].inbox;
+    Inbox& inbox = data_[tp].inbox;
     const Bytes payload = payload_bytes(message);
-    const bool remote = vm_of(from_partition) != vm_of(tp);
 
     // Combiner (when enabled): merge into an already-buffered message with
     // the same combine key. Modeled as sender-side combining — a combined
@@ -1275,7 +1346,39 @@ class Engine final : public EngineCore {
       }
     }
 
-    if (remote) {
+    count_delivery(from_partition, tp, payload, src_load, src_outbuf);
+    inbox.append(tl, std::move(message), combine_src);
+    activate_local(tp, tl);
+  }
+
+  /// Deliver record `record` of this superstep's table: as a reference
+  /// where the inbox layout has them and no combiner may merge into the
+  /// message, as a copy through deliver otherwise. Forced inline like
+  /// deliver; a program whose payload size is a constant never reads the
+  /// record here.
+  [[gnu::always_inline]] void deliver_record(const BulkVector<M>& table, std::uint32_t record,
+                                             std::uint32_t from_partition, std::uint32_t tp,
+                                             std::uint32_t tl, SendScratch& acc,
+                                             std::uint8_t combine_src) {
+    if constexpr (kRefInbox) {
+      if (!opts_combine_) {
+        count_delivery(from_partition, tp, payload_bytes(table[record]), acc.load,
+                       acc.outbuf_bytes);
+        data_[tp].inbox.append_ref(tl, record);
+        activate_local(tp, tl);
+        return;
+      }
+    }
+    deliver(from_partition, tp, tl, M(table[record]), acc.load, acc.outbuf_bytes, combine_src);
+  }
+
+  /// Send/receive accounting of one uncombined delivery of `payload` bytes
+  /// from `from_partition` into partition `tp`'s next inbox.
+  [[gnu::always_inline]] void count_delivery(std::uint32_t from_partition, std::uint32_t tp,
+                                             Bytes payload, cloud::WorkerLoad& src_load,
+                                             Bytes& src_outbuf) {
+    PartitionMeta& dst = parts_[tp];
+    if (vm_of(from_partition) != vm_of(tp)) {
       ++src_load.messages_sent_remote;
       const Bytes wire = cost_.wire_bytes(payload);
       src_load.bytes_sent_remote += wire;
@@ -1287,8 +1390,6 @@ class Engine final : public EngineCore {
       ++src_load.messages_sent_local;
     }
     dst.inbox_next_bytes += cost_.buffered_bytes(payload);
-    inbox.append(tl, std::move(message), combine_src);
-    activate_local(tp, tl);
   }
 
   /// remain_active: staged per chunk (the destination partition's merge task
@@ -1352,9 +1453,14 @@ class Engine final : public EngineCore {
   bool pull_mode_ = false;          ///< hysteresis state of the heuristic
   bool pull_this_step_ = false;     ///< decision for the running superstep
   /// Per vertex: where this superstep's broadcast records of that sender
-  /// are. Sized once per run when direction is enabled; compute_chunk fills
-  /// a sender's slot and clear_broadcast_records zeroes it.
+  /// are. Sized once per run when direction is enabled;
+  /// compact_broadcast_records fills a sender's slot and
+  /// clear_broadcast_records zeroes it.
   std::vector<BroadcastSlot> broadcast_slots_;
+  /// This pull superstep's broadcast records, from the compute barrier to
+  /// the end of the merge, and each record's emission seq.
+  RecordTable<M> records_;
+  BulkVector<std::uint32_t> record_seq_;
   /// Global in-edge CSR with per-target lists rank-sorted (lazily built).
   std::vector<std::size_t> pull_off_;
   std::vector<VertexId> pull_src_;

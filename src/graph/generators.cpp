@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "util/bulk_allocator.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -17,6 +18,44 @@ std::uint64_t pair_key(VertexId a, VertexId b) {
   if (a > b) std::swap(a, b);
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
+
+/// Insert-only set of pair keys: linear probing in a power-of-two table
+/// sized for `max_keys` up front, so it never rehashes. A pair key never
+/// equals kEmpty, because pairs join distinct vertices. The table is a bulk
+/// buffer, so it goes back to the OS when generation ends instead of
+/// staying in the malloc heap for the rest of the process.
+class PairKeySet {
+ public:
+  explicit PairKeySet(std::size_t max_keys) {
+    std::size_t capacity = 16;
+    while (capacity < 2 * max_keys) capacity <<= 1;
+    slots_.assign(capacity, kEmpty);
+    mask_ = capacity - 1;
+  }
+
+  bool contains(std::uint64_t key) const { return slots_[slot_of(key)] == key; }
+
+  /// Whether `key` was absent (and is now present).
+  bool insert(std::uint64_t key) {
+    std::uint64_t& slot = slots_[slot_of(key)];
+    if (slot == key) return false;
+    slot = key;
+    return true;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  /// The slot holding `key`, or the empty slot where it would go.
+  std::size_t slot_of(std::uint64_t key) const {
+    std::size_t i = mix64(key) & mask_;
+    while (slots_[i] != kEmpty && slots_[i] != key) i = (i + 1) & mask_;
+    return i;
+  }
+
+  BulkVector<std::uint64_t> slots_;
+  std::size_t mask_ = 0;
+};
 
 }  // namespace
 
@@ -44,8 +83,7 @@ Graph watts_strogatz(VertexId n, std::uint32_t k, double beta, std::uint64_t see
   PREGEL_CHECK_MSG(k >= 2 && k < n, "watts_strogatz: need 2 <= k < n");
   PREGEL_CHECK_MSG(beta >= 0.0 && beta <= 1.0, "watts_strogatz: beta in [0,1]");
   Xoshiro256 rng(seed);
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(static_cast<std::size_t>(n) * k);
+  PairKeySet seen(static_cast<std::size_t>(n) * (k / 2));
   GraphBuilder b(n);
   for (VertexId u = 0; u < n; ++u) {
     for (std::uint32_t j = 1; j <= k / 2; ++j) {
@@ -60,7 +98,7 @@ Graph watts_strogatz(VertexId n, std::uint32_t k, double beta, std::uint64_t see
           }
         }
       }
-      if (v != u && seen.insert(pair_key(u, v)).second) b.add_edge(u, v);
+      if (v != u && seen.insert(pair_key(u, v))) b.add_edge(u, v);
     }
   }
   Graph g = b.build();

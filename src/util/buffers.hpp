@@ -1,13 +1,16 @@
 // Capacity policy for buffers that are filled and drained every superstep,
 // one small buffer per chunk or per (chunk, destination): the engine's
 // staged outbox rows and the pull-mode broadcast records each chunk's
-// scratch collects.
+// scratch collects. A chunk's records drain right after the compute
+// barrier, when they are copied into the superstep's record table.
 //
 // One threshold, applied identically to every such buffer: after a drain,
 // capacity above kDrainShrinkElements is released to the allocator, anything
 // smaller stays cached for the next superstep. Inboxes are not governed by
 // it: each partition's messages live in one flat arrival log and one sealed
-// arena (core/inbox.hpp), whose capacity rule is stated there.
+// arena (core/inbox.hpp), whose capacity rule is stated there, and so does
+// the lifetime of a record table, which is allocated whole per pull
+// superstep and released when the last inbox referencing it is drained.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,6 @@
 // Allocator for the large flat buffers whose sizes follow message traffic
-// (each partition's inbox, core/inbox.hpp).
+// (each partition's inbox and each pull superstep's broadcast record table,
+// core/inbox.hpp).
 //
 // Blocks of kBulkMapBytes or more are mapped straight from the OS and
 // unmapped when released. Through malloc, a released buffer of a few MiB
@@ -12,6 +13,7 @@
 
 #include <cstddef>
 #include <new>
+#include <vector>
 
 namespace pregel {
 
@@ -47,5 +49,9 @@ struct BulkAllocator {
     return true;
   }
 };
+
+/// A flat buffer sized by traffic rather than by vertex count.
+template <class T>
+using BulkVector = std::vector<T, BulkAllocator<T>>;
 
 }  // namespace pregel

@@ -2,13 +2,16 @@
 // a CSR arena by a stable counting sort. Every sealed inbox must hold
 // exactly what a per-vertex vector appended in delivery order would hold —
 // the property the engine's bit-identity rests on — whichever path the seal
-// takes and however the log and arena buffers are handed back and forth.
+// takes, however the log and arena buffers are handed back and forth, and
+// whether an arrival is an inline message or a reference to a record.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "algos/sssp.hpp"
@@ -130,6 +133,173 @@ TEST(InboxArena, RandomTrafficMatchesPerVertexVectors) {
       if (!direct) deliver(traffic, target_order);
     }
   }
+}
+
+// ---- the reference layout (RefInboxArena) ----------------------------------
+
+using Rec = std::uint64_t;
+using Table = std::shared_ptr<BulkVector<Rec>>;
+
+Table table_of(std::vector<Rec> records) {
+  return std::make_shared<BulkVector<Rec>>(records.begin(), records.end());
+}
+
+std::vector<Rec> gathered(const RefInboxArena<Rec>& arena, std::uint32_t local) {
+  std::vector<Rec> out;
+  const std::span<const Rec> box = arena.gather(local, out);
+  return {box.begin(), box.end()};
+}
+
+void expect_sealed(const RefInboxArena<Rec>& arena, const std::vector<std::vector<Rec>>& want) {
+  ASSERT_EQ(arena.locals(), want.size());
+  for (std::uint32_t l = 0; l < want.size(); ++l)
+    EXPECT_EQ(gathered(arena, l), want[l]) << "local " << l;
+}
+
+// Inline arrivals and references to a record table, mixed in any target
+// order and followed now and then by a barrier-time seed, read back exactly
+// as an inline arena fed the same messages does.
+TEST(InboxArena, ReferenceArrivalsKeepInlineArenaOrder) {
+  constexpr std::uint32_t kLocals = 23;
+  constexpr std::uint32_t kRecords = 50;
+  std::mt19937 rng(26);
+  RefInboxArena<Rec> refs;
+  InboxArena<Rec> inline_arena;
+  refs.reset(kLocals, false);
+  inline_arena.reset(kLocals, false);
+  Rec fresh = 0;
+  for (int step = 0; step < 40; ++step) {
+    Table table = std::make_shared<BulkVector<Rec>>();
+    for (std::uint32_t r = 0; r < kRecords; ++r) table->push_back(Rec{1'000'000} + static_cast<Rec>(step) * 100 + r);
+    refs.refer_to(table);
+    std::vector<std::uint32_t> targets(rng() % 200);
+    for (auto& t : targets) t = static_cast<std::uint32_t>(rng() % kLocals);
+    if (step % 3 != 0) std::sort(targets.begin(), targets.end());  // a pull merge
+    for (const std::uint32_t t : targets) {
+      if (rng() % 3 == 0) {
+        refs.append(t, fresh);
+        inline_arena.append(t, fresh++);
+      } else {
+        const auto r = static_cast<std::uint32_t>(rng() % kRecords);
+        refs.append_ref(t, r);
+        inline_arena.append(t, (*table)[r]);
+      }
+    }
+    if (step % 4 == 1) {  // a seed after the merge
+      const auto t = static_cast<std::uint32_t>(rng() % kLocals);
+      refs.append(t, fresh, kSeedSource);
+      inline_arena.append(t, fresh++, kSeedSource);
+    }
+    table.reset();  // the arena alone keeps the records now
+    refs.seal();
+    inline_arena.seal();
+    EXPECT_EQ(refs.arrivals(), 0u);
+    for (std::uint32_t l = 0; l < kLocals; ++l) {
+      const std::span<const Rec> want = inline_arena.messages(l);
+      EXPECT_EQ(gathered(refs, l), std::vector<Rec>(want.begin(), want.end()))
+          << "step " << step << ", local " << l;
+    }
+    refs.drain();
+    inline_arena.drain();
+    EXPECT_TRUE(refs.drained());
+  }
+}
+
+// The same per-target sequences, once delivered target by target (no
+// target is recorded, and the seal takes the slots as they stand), once
+// interleaved across targets (every target recorded, a scatter), and once
+// grouped and then broken by a late arrival (a recorded tail behind the
+// grouped prefix). The log walks its arrivals in delivery order either way.
+TEST(InboxArena, GroupedReferenceSealEqualsScatterSeal) {
+  const Table table = table_of({10, 11, 12, 13, 14, 15});
+  const std::vector<std::vector<Rec>> want = {{10, 11}, {}, {12}, {13, 14, 15}};
+  RefInboxArena<Rec> grouped, interleaved, broken;
+  for (RefInboxArena<Rec>* a : {&grouped, &interleaved, &broken}) {
+    a->reset(4, false);
+    a->refer_to(table);
+  }
+  const std::pair<std::uint32_t, std::uint32_t> in_order[] = {{0, 0}, {0, 1}, {2, 2},
+                                                              {3, 3}, {3, 4}, {3, 5}};
+  const std::pair<std::uint32_t, std::uint32_t> mixed[] = {{3, 3}, {0, 0}, {3, 4},
+                                                           {2, 2}, {0, 1}, {3, 5}};
+  const std::pair<std::uint32_t, std::uint32_t> late[] = {{0, 0}, {2, 2}, {3, 3},
+                                                          {3, 4}, {0, 1}, {3, 5}};
+  for (const auto& [t, r] : in_order) grouped.append_ref(t, r);
+  for (const auto& [t, r] : mixed) interleaved.append_ref(t, r);
+  for (const auto& [t, r] : late) broken.append_ref(t, r);
+
+  const auto walk = [](const RefInboxArena<Rec>& a) {
+    std::vector<std::pair<std::uint32_t, Rec>> out;
+    a.for_each_arrival([&](std::uint32_t l, std::size_t i) { out.emplace_back(l, a.arrival(i)); });
+    return out;
+  };
+  const auto delivered = [&](std::span<const std::pair<std::uint32_t, std::uint32_t>> order) {
+    std::vector<std::pair<std::uint32_t, Rec>> out;
+    for (const auto& [t, r] : order) out.emplace_back(t, (*table)[r]);
+    return out;
+  };
+  EXPECT_EQ(walk(grouped), delivered(in_order));
+  EXPECT_EQ(walk(interleaved), delivered(mixed));
+  EXPECT_EQ(walk(broken), delivered(late));
+
+  for (RefInboxArena<Rec>* a : {&grouped, &interleaved, &broken}) {
+    a->seal();
+    expect_sealed(*a, want);
+  }
+}
+
+// A checkpoint snapshot copies the arena at a barrier. The run goes on: the
+// source seals, drains and takes the next superstep's table, and the old
+// table's only owner is the copy, which must still read its records.
+TEST(InboxArena, CopiedReferenceArenaOutlivesRecycledRecords) {
+  RefInboxArena<Rec> source;
+  source.reset(3, false);
+  source.refer_to(table_of({7, 8, 9}));
+  source.append_ref(2, 0);
+  source.append(1, 42);
+  source.append_ref(2, 2);
+  const RefInboxArena<Rec> snapshot = source;
+
+  source.seal();
+  expect_sealed(source, {{}, {42}, {7, 9}});
+  source.drain();
+  source.refer_to(table_of({70, 80, 90}));
+  source.append_ref(0, 1);
+  source.seal();
+  expect_sealed(source, {{80}, {}, {}});
+
+  RefInboxArena<Rec> restored = snapshot;
+  restored.seal();
+  expect_sealed(restored, {{}, {42}, {7, 9}});
+
+  // A migration re-homes arrivals one by one: references keep naming the
+  // shared records, inline messages move.
+  RefInboxArena<Rec> from = snapshot;
+  RefInboxArena<Rec> to;
+  to.reset(2, false);
+  from.for_each_arrival([&](std::uint32_t l, std::size_t i) { to.append_from(from, i, l - 1); });
+  to.seal();
+  expect_sealed(to, {{42}, {7, 9}});
+}
+
+// Under a combiner every arrival is inline, and the match is the buffered
+// message itself: combining into it changes what the sealed inbox reads.
+TEST(InboxArena, ReferenceLayoutCombinesIntoInlineArrivals) {
+  RefInboxArena<Rec> arena;
+  arena.reset(2, /*chains=*/true);
+  arena.append(1, 5, /*src=*/0);
+  arena.append(0, 6, /*src=*/0);
+  arena.append(1, 7, /*src=*/1);
+  const auto key_of = [](const Rec&) { return std::uint64_t{0}; };
+  Rec* hit = arena.match(1, 1, 0, key_of);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, 7u);
+  *hit += 100;
+  EXPECT_EQ(arena.match(1, 2, 0, key_of), nullptr);
+  arena.seal();
+  expect_sealed(arena, {{6}, {5, 107}});
+  arena.drain();
+  EXPECT_EQ(arena.match(1, 0, 0, key_of), nullptr);
 }
 
 // The engine seals on the pool at more than one lane; one lane seals the

@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -260,6 +262,100 @@ TEST(DirectionOptimization, PullMatchesPushOnMultigraphUnderMigration) {
     EXPECT_EQ(r.metrics.total_time, base.metrics.total_time);
     for (std::size_t v = 0; v < r.values.size(); ++v)
       EXPECT_EQ(r.values[v].bc_score, base.values[v].bc_score) << "vertex " << v;
+  }
+}
+
+/// BcProgram that watches rollbacks: a compute at a superstep below the
+/// highest one already run is a replay, and the lowest replayed superstep
+/// reads the inboxes a checkpoint restored. It counts, per replayed
+/// superstep, the forward messages from neighbors (broadcast records) that
+/// compute read.
+struct ReplayProbeBc : algos::BcProgram {
+  struct Log {
+    std::mutex m;
+    std::uint64_t highest = 0;
+    std::map<std::uint64_t, std::uint64_t> replayed_broadcasts;
+  };
+  std::shared_ptr<Log> log = std::make_shared<Log>();
+
+  template <class Ctx>
+  void compute(Ctx& ctx, VertexValue& v, std::span<const MessageValue> messages) const {
+    std::uint64_t broadcasts = 0;
+    for (const MessageValue& m : messages)
+      if (m.kind == Kind::kForward && m.sender != ctx.vertex_id()) ++broadcasts;
+    {
+      const std::lock_guard<std::mutex> lock(log->m);
+      if (ctx.superstep() < log->highest)
+        log->replayed_broadcasts[ctx.superstep()] += broadcasts;
+      else
+        log->highest = ctx.superstep();
+    }
+    algos::BcProgram::compute(ctx, v, messages);
+  }
+};
+
+/// The modeled record without the direction decisions themselves.
+JobMetrics without_direction(JobMetrics m) {
+  for (SuperstepMetrics& s : m.supersteps) s.pull_mode = false;
+  m.pull_supersteps = 0;
+  m.direction_switches = 0;
+  return m;
+}
+
+// Pull inboxes hold references to a superstep's broadcast records. A delta
+// checkpoint snapshots them, a worker failure restores them, and a
+// migration at every barrier re-homes them; forced pull must still repeat
+// forced push value for value and in every modeled metric, at one lane and
+// four, with the first replayed superstep reading records from a restored
+// pull-superstep inbox.
+TEST(DirectionOptimization, ReferenceInboxesSurviveCheckpointFailureAndMigration) {
+  const Graph g = barabasi_albert(300, 3, 131);
+  ClusterConfig c = eight_partitions_four_vms();
+  c.migration.planner = std::make_shared<ActivityGreedyPlanner>(/*tolerance=*/0.05);
+  c.migration.period = 1;
+  c.checkpoint_interval = 2;
+  c.scheduled_failures = {{7, 1}};  // superstep 7, worker 1
+  ASSERT_TRUE(c.ckpt.delta_enabled);
+  const auto parts = HashPartitioner{}.partition(g, c.num_partitions);
+
+  std::vector<VertexId> roots;
+  for (VertexId r = 0; r < 12; ++r) roots.push_back(r * 29 % 300);
+  JobOptions o;
+  o.roots = roots;
+  o.swath = SwathPolicy::make(std::make_shared<StaticSwathSizer>(4),
+                              std::make_shared<StaticNInitiation>(2), 0);
+  o.parallelism = 1;
+  o.direction.mode = DirectionOptions::Mode::kOff;
+  Engine<ReplayProbeBc> serial_push(g, {}, c, parts);
+  const auto base = serial_push.run(o);
+  ASSERT_FALSE(base.failed);
+  ASSERT_EQ(base.roots_completed, roots.size());
+  EXPECT_EQ(base.metrics.pull_supersteps, 0u);
+
+  for (const std::uint32_t lanes : {1u, 4u}) {
+    for (const auto mode : {DirectionOptions::Mode::kOff, DirectionOptions::Mode::kAlways}) {
+      const bool pull = mode == DirectionOptions::Mode::kAlways;
+      SCOPED_TRACE(std::to_string(lanes) + " lanes, " + (pull ? "pull" : "push"));
+      o.parallelism = lanes;
+      o.direction.mode = mode;
+      ReplayProbeBc probe;
+      Engine<ReplayProbeBc> e(g, probe, c, parts);
+      const auto r = e.run(o);
+      ASSERT_FALSE(r.failed);
+      EXPECT_GT(r.metrics.worker_failures, 0u);
+      EXPECT_GT(r.metrics.replayed_supersteps, 0u);
+      EXPECT_GT(r.metrics.checkpoint_deltas, 0u);
+      EXPECT_GT(r.metrics.migrations, 0u);
+      EXPECT_EQ(r.metrics.pull_supersteps, pull ? r.metrics.total_supersteps() : 0u);
+      ASSERT_FALSE(probe.log->replayed_broadcasts.empty()) << "no rollback replayed";
+      EXPECT_GT(probe.log->replayed_broadcasts.begin()->second, 0u)
+          << "the restored inboxes held no broadcast record";
+      for (std::size_t v = 0; v < r.values.size(); ++v)
+        EXPECT_EQ(r.values[v].bc_score, base.values[v].bc_score) << "vertex " << v;
+      EXPECT_EQ(first_modeled_difference(without_direction(r.metrics),
+                                         without_direction(base.metrics)),
+                "");
+    }
   }
 }
 

@@ -11,7 +11,9 @@ namespace {
 
 std::vector<std::byte> bytes_of(std::string_view s) {
   std::vector<std::byte> v(s.size());
-  std::memcpy(v.data(), s.data(), s.size());
+  // An empty string's data() may be null, and memcpy from null is undefined
+  // even for zero bytes.
+  if (!s.empty()) std::memcpy(v.data(), s.data(), s.size());
   return v;
 }
 
