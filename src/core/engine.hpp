@@ -53,11 +53,16 @@
 // any pointwise sends. The synthesized stream is the push stream, message
 // for message, so the switch is invisible to results and metrics; the
 // decision itself uses modeled density only and is part of the bit-identity
-// contract. Where a 4-byte reference is smaller than the message, vertex
-// programs get the reference inbox layout (RefInboxArena): a pull delivery
-// appends a reference to the sender's record instead of a copy, the table
-// lives until the next superstep's compute has gathered every inbox, and
-// seeds, pointwise sends and deliveries under a combiner stay inline.
+// contract. A pull merge delivers target by target, so the arrival log
+// (InboxArena, core/inbox.hpp) records no target per delivery. Where a
+// 4-byte reference is smaller than the message, vertex programs get the
+// reference store over that log (RefInboxArena): a pull delivery appends a
+// reference to the sender's record instead of a copy, the table lives until
+// the next superstep's compute has gathered every inbox, and seeds,
+// pointwise sends and deliveries under a combiner stay inline. Both stores
+// answer the same calls (gather, reserve_grouped), so compute and the merge
+// read the same whichever the program gets; only deliver_record tells a
+// reference from a copy.
 //
 // All computation on vertex values is real; only *time* and *memory* are
 // modeled. Virtual time per superstep is
@@ -464,9 +469,10 @@ class Engine final : public EngineCore {
   }
 
   /// Whether inboxes hold pull deliveries as references to broadcast records
-  /// (RefInboxArena): direction-capable vertex programs whose message is
-  /// larger than the 4-byte reference. Every other program keeps the inline
-  /// arena.
+  /// (RefInboxArena, a message store over a log of slots): direction-capable
+  /// vertex programs whose message is larger than the 4-byte reference.
+  /// Every other program keeps the inline arena, whose log items are the
+  /// messages.
   static constexpr bool kRefInbox =
       direction_capable() && !subgraph_model() && sizeof(M) > sizeof(std::uint32_t);
   using Inbox = std::conditional_t<kRefInbox, RefInboxArena<M>, InboxArena<M>>;
@@ -626,7 +632,7 @@ class Engine final : public EngineCore {
   /// compute reads (on the pool at more than one lane), pick push or pull,
   /// then compute and merge.
   void run_superstep(SuperstepMetrics& sm) override {
-    for_each_partition([this](std::size_t p) { data_[p].inbox.seal(); });
+    for_each_index(parts_.size(), [this](std::size_t p) { data_[p].inbox.seal(); });
     pull_this_step_ = false;
     if (direction_enabled_) {
       decide_direction();
@@ -761,8 +767,9 @@ class Engine final : public EngineCore {
     }
   }
 
-  /// The buffer a reference-layout inbox is gathered into for compute: one
-  /// per host thread, so one per lane, reused across vertices and supersteps.
+  /// The buffer a reference-layout inbox is gathered into for compute (an
+  /// inline arena hands out its own span and leaves it untouched): one per
+  /// host thread, so one per lane, reused across vertices and supersteps.
   static std::vector<M>& lane_inbox() {
     static thread_local std::vector<M> buffer;
     return buffer;
@@ -779,8 +786,7 @@ class Engine final : public EngineCore {
     PartitionMeta& ps = parts_[ref.partition];
     PartitionData& pd = data_[ref.partition];
     ChunkScratch& cs = chunk_scratch_[c];
-    std::vector<M>* gathered = nullptr;
-    if constexpr (kRefInbox) gathered = &lane_inbox();
+    std::vector<M>& gathered = lane_inbox();
     for (std::uint32_t l : std::span(ps.active_cur).subspan(ref.first, ref.last - ref.first)) {
       // Tag emissions with the sender's immutable rank and its combining
       // domain. The domain is the VM of the vertex's *original* partition:
@@ -790,11 +796,7 @@ class Engine final : public EngineCore {
       cs.computing_src = static_cast<std::uint8_t>(placement_[orig_part_[ps.vertices[l]]]);
       cs.emit_seq = 0;
       VertexContext<Program> ctx(this, ref.partition, l, ps.vertices[l], c);
-      std::span<const M> box;
-      if constexpr (kRefInbox)
-        box = pd.inbox.gather(l, *gathered);
-      else
-        box = pd.inbox.messages(l);
+      const std::span<const M> box = pd.inbox.gather(l, gathered);
       ++cs.load.vertices_computed;
       cs.load.messages_processed += box.size();
       program_.compute(ctx, pd.values[l], box);
@@ -921,8 +923,8 @@ class Engine final : public EngineCore {
   /// O(sends). Each in-edge reads one BroadcastSlot. Parallel edges: a
   /// broadcast record is delivered once per adjacent duplicate in the
   /// in-neighbor list (record-major, exactly the per-target order the push
-  /// loop produces). Deliveries reach q's log target by target, so a
-  /// reference-layout log records no targets.
+  /// loop produces). Deliveries reach q's log target by target, so the log
+  /// records no targets, whichever store the program has.
   void merge_destination_pull(std::uint32_t q, std::size_t staged) {
     const std::size_t n = parts_.size();
     const PartitionMeta& dst = parts_[q];
@@ -933,12 +935,7 @@ class Engine final : public EngineCore {
     for (const VertexId gu : dst.vertices)
       for (std::size_t e = pull_off_[gu]; e < pull_off_[gu + 1]; ++e)
         deliveries += broadcast_slots_[pull_src_[e]].count;
-    if constexpr (kRefInbox) {
-      data_[q].inbox.reserve_grouped(deliveries, opts_combine_ ? deliveries : staged);
-      if (!opts_combine_) data_[q].inbox.refer_to(records_);
-    } else {
-      data_[q].inbox.reserve(deliveries);
-    }
+    data_[q].inbox.reserve_grouped(deliveries, staged);
     InboxArena<PullSend>& sends = pull_sends_[q];
     sends.reset(static_cast<std::uint32_t>(dst.vertices.size()), false);
     rank_merge(
@@ -991,14 +988,14 @@ class Engine final : public EngineCore {
     sends.drain();
   }
 
-  /// Run `f(p)` for every partition index — on the pool when one exists,
-  /// serially otherwise.
+  /// Run `f(i)` for every i in [0, n) — on the pool when one exists (which
+  /// runs a single item inline on the caller), serially otherwise.
   template <class F>
-  void for_each_partition(F&& f) {
+  void for_each_index(std::size_t n, F&& f) {
     if (pool_)
-      pool_->parallel_for(parts_.size(), std::forward<F>(f));
+      pool_->parallel_for(n, std::forward<F>(f));
     else
-      for (std::size_t i = 0; i < parts_.size(); ++i) f(i);
+      for (std::size_t i = 0; i < n; ++i) f(i);
   }
 
   /// Compute + route for one vertex-centric superstep. Two barriers: (1)
@@ -1054,7 +1051,7 @@ class Engine final : public EngineCore {
     // After the drain, so the last table is released before this one is built.
     if (pull_this_step_) compact_broadcast_records();
 
-    for_each_partition([this](std::size_t q) {
+    for_each_index(parts_.size(), [this](std::size_t q) {
       merge_destination(static_cast<std::uint32_t>(q));
     });
 
@@ -1102,10 +1099,7 @@ class Engine final : public EngineCore {
       }
       shrink_after_drain(cs.records);
     };
-    if (pool_ && chunks_.size() > 1)
-      pool_->parallel_for(chunks_.size(), compact);
-    else
-      for (std::size_t c = 0; c < chunks_.size(); ++c) compact(c);
+    for_each_index(chunks_.size(), compact);
     records_ = std::move(table);
   }
 
@@ -1187,7 +1181,7 @@ class Engine final : public EngineCore {
   /// the indivisible unit of subgraph work.
   void execute_superstep_subgraph() {
     setup_subgraph_chunks();
-    for_each_partition([this](std::size_t p) {
+    for_each_index(parts_.size(), [this](std::size_t p) {
       compute_subgraph_partition(static_cast<std::uint32_t>(p));
     });
     merge_and_replay();
@@ -1364,7 +1358,7 @@ class Engine final : public EngineCore {
       if (!opts_combine_) {
         count_delivery(from_partition, tp, payload_bytes(table[record]), acc.load,
                        acc.outbuf_bytes);
-        data_[tp].inbox.append_ref(tl, record);
+        data_[tp].inbox.append_ref(tl, records_, record);
         activate_local(tp, tl);
         return;
       }

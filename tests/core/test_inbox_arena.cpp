@@ -25,76 +25,156 @@ namespace {
 
 using Boxes = std::vector<std::vector<int>>;
 
-void expect_sealed(const InboxArena<int>& arena, const Boxes& want) {
+// Every case below that feeds only inline messages runs over both stores:
+// the inline arena, whose log items are the messages, and the reference
+// store, whose log items are slots naming its inline messages.
+template <class Arena>
+void expect_sealed(const Arena& arena, const Boxes& want) {
   ASSERT_EQ(arena.locals(), want.size());
+  std::vector<int> scratch;
   for (std::uint32_t l = 0; l < want.size(); ++l) {
-    const std::span<const int> got = arena.messages(l);
+    const std::span<const int> got = arena.gather(l, scratch);
     EXPECT_EQ(std::vector<int>(got.begin(), got.end()), want[l]) << "local " << l;
   }
 }
 
-TEST(InboxArena, OutOfOrderArrivalsKeepPerTargetDeliveryOrder) {
-  InboxArena<int> arena;
-  arena.reset(4, false);
-  const std::uint32_t targets[] = {3, 1, 3, 0, 1, 3, 2, 0};
-  Boxes want(4);
-  for (int i = 0; i < 8; ++i) {
-    arena.append(targets[i], 100 + i);
-    want[targets[i]].push_back(100 + i);
+template <class F>
+void for_both_layouts(F&& f) {
+  {
+    SCOPED_TRACE("inline layout");
+    f(InboxArena<int>{});
   }
-  arena.seal();
-  EXPECT_EQ(arena.arrivals(), 0u);
-  expect_sealed(arena, want);
+  {
+    SCOPED_TRACE("reference layout");
+    f(RefInboxArena<int>{});
+  }
+}
+
+TEST(InboxArena, OutOfOrderArrivalsKeepPerTargetDeliveryOrder) {
+  for_both_layouts([](auto arena) {
+    arena.reset(4, false);
+    const std::uint32_t targets[] = {3, 1, 3, 0, 1, 3, 2, 0};
+    Boxes want(4);
+    for (int i = 0; i < 8; ++i) {
+      arena.append(targets[i], 100 + i);
+      want[targets[i]].push_back(100 + i);
+    }
+    arena.seal();
+    EXPECT_EQ(arena.arrivals(), 0u);
+    expect_sealed(arena, want);
+  });
 }
 
 TEST(InboxArena, SeedInjectedAfterDeliveriesLandsLast) {
-  InboxArena<int> arena;
-  arena.reset(3, false);
-  arena.append(2, 1);
-  arena.append(0, 2);
-  arena.append(2, 3);
-  arena.append(2, -1, kSeedSource);  // a barrier-time seed, after the merge
-  arena.seal();
-  expect_sealed(arena, {{2}, {}, {1, 3, -1}});
+  for_both_layouts([](auto arena) {
+    arena.reset(3, false);
+    arena.append(2, 1);
+    arena.append(0, 2);
+    arena.append(2, 3);
+    arena.append(2, -1, kSeedSource);  // a barrier-time seed, after the merge
+    arena.seal();
+    expect_sealed(arena, {{2}, {}, {1, 3, -1}});
+  });
 }
 
 TEST(InboxArena, EmptyPartitionAndSilentVertices) {
-  InboxArena<int> none;
-  none.reset(0, false);
-  none.seal();
-  EXPECT_TRUE(none.drained());
-  none.drain();
+  for_both_layouts([](auto none) {
+    auto quiet = none;
+    none.reset(0, false);
+    none.seal();
+    EXPECT_TRUE(none.drained());
+    none.drain();
 
-  InboxArena<int> quiet;
-  quiet.reset(5, true);
-  quiet.seal();
-  expect_sealed(quiet, Boxes(5));
-  quiet.drain();
-  quiet.append(3, 7);
-  quiet.seal();
-  expect_sealed(quiet, {{}, {}, {}, {7}, {}});
+    quiet.reset(5, true);
+    quiet.seal();
+    expect_sealed(quiet, Boxes(5));
+    quiet.drain();
+    quiet.append(3, 7);
+    quiet.seal();
+    expect_sealed(quiet, {{}, {}, {}, {7}, {}});
+  });
 }
 
 TEST(InboxArena, SortedFastPathEqualsScatter) {
   // The same per-target sequences, once delivered target by target (the
-  // count pass sees a sorted log and skips the scatter) and once
-  // interleaved across targets.
-  const Boxes want = {{5, 6}, {}, {7}, {8, 9, 10}};
-  InboxArena<int> sorted, interleaved;
-  sorted.reset(4, false);
-  interleaved.reset(4, false);
-  for (std::uint32_t l = 0; l < want.size(); ++l)
-    for (const int m : want[l]) sorted.append(l, m);
-  interleaved.append(3, 8);
-  interleaved.append(0, 5);
-  interleaved.append(3, 9);
-  interleaved.append(2, 7);
-  interleaved.append(0, 6);
-  interleaved.append(3, 10);
-  sorted.seal();
-  interleaved.seal();
-  expect_sealed(sorted, want);
-  expect_sealed(interleaved, want);
+  // log records no target and the seal takes it as it stands) and once
+  // interleaved across targets (every arrival after the first records its
+  // target, and the seal scatters them).
+  for_both_layouts([](auto sorted) {
+    const Boxes want = {{5, 6}, {}, {7}, {8, 9, 10}};
+    auto interleaved = sorted;
+    sorted.reset(4, false);
+    interleaved.reset(4, false);
+    for (std::uint32_t l = 0; l < want.size(); ++l)
+      for (const int m : want[l]) sorted.append(l, m);
+    interleaved.append(3, 8);
+    interleaved.append(0, 5);
+    interleaved.append(3, 9);
+    interleaved.append(2, 7);
+    interleaved.append(0, 6);
+    interleaved.append(3, 10);
+    sorted.seal();
+    interleaved.seal();
+    expect_sealed(sorted, want);
+    expect_sealed(interleaved, want);
+  });
+}
+
+// A log that arrives grouped by target (a pull merge) and is then broken by
+// a barrier-time seed and a push-style tail: the prefix is only counted,
+// the tail records its targets, and each inbox still reads in arrival
+// order. With chains on, the combiner lookup sees prefix and tail arrivals
+// of a target as one chain, first in arrival order.
+TEST(InboxArena, GroupedPrefixThenRecordedTailMatchesPerVertexVectors) {
+  constexpr std::uint32_t kLocals = 19;
+  for (const bool chains : {false, true}) {
+    SCOPED_TRACE(chains ? "chains on" : "chains off");
+    for_both_layouts([&](auto arena) {
+      std::mt19937 rng(27);
+      arena.reset(kLocals, chains);
+      for (int step = 0; step < 20; ++step) {
+        Boxes want(kLocals);
+        int value = step * 1000;
+        const auto deliver = [&](std::uint32_t t, std::uint8_t src) {
+          arena.append(t, value, src);
+          want[t].push_back(value++);
+        };
+        std::vector<std::uint32_t> prefix(rng() % 60);
+        for (auto& t : prefix) t = static_cast<std::uint32_t>(rng() % kLocals);
+        std::sort(prefix.begin(), prefix.end());
+        for (const std::uint32_t t : prefix) deliver(t, 0);
+        const auto seeded = static_cast<std::uint32_t>(rng() % kLocals);
+        deliver(seeded, kSeedSource);
+        const std::size_t tail = rng() % 40;
+        for (std::size_t i = 0; i < tail; ++i)
+          deliver(static_cast<std::uint32_t>(rng() % kLocals), static_cast<std::uint8_t>(1 + i % 2));
+
+        std::vector<std::pair<std::uint32_t, int>> walked;
+        arena.for_each_arrival([&](std::uint32_t l, std::size_t i) {
+          walked.emplace_back(l, arena.arrival(i));
+        });
+        std::vector<std::pair<std::uint32_t, int>> want_walk;
+        for (std::uint32_t l = 0; l < kLocals; ++l)
+          for (const int m : want[l]) want_walk.emplace_back(l, m);
+        std::sort(walked.begin(), walked.end());
+        EXPECT_EQ(walked, want_walk) << "step " << step;
+        if (chains) {
+          const auto key_of = [](const int&) { return std::uint64_t{0}; };
+          for (std::uint32_t l = 0; l < kLocals; ++l) {
+            int* first = arena.match(l, kSeedSource, 0, key_of);
+            ASSERT_EQ(first != nullptr, l == seeded) << "local " << l;
+            if (first != nullptr) {
+              const auto prefix_arrivals = std::count(prefix.begin(), prefix.end(), l);
+              EXPECT_EQ(*first, want[l][static_cast<std::size_t>(prefix_arrivals)]);
+            }
+          }
+        }
+        arena.seal();
+        expect_sealed(arena, want);
+        arena.drain();
+      }
+    });
+  }
 }
 
 // Many supersteps of random traffic against per-vertex reference vectors,
@@ -104,35 +184,37 @@ TEST(InboxArena, SortedFastPathEqualsScatter) {
 // buffers is taken.
 TEST(InboxArena, RandomTrafficMatchesPerVertexVectors) {
   constexpr std::uint32_t kLocals = 37;
-  std::mt19937 rng(2013);
-  for (const bool direct : {false, true}) {
-    InboxArena<int> arena;
-    arena.reset(kLocals, false);
-    Boxes next(kLocals);
-    int value = 0;
-    const auto deliver = [&](std::size_t count, bool target_order) {
-      std::vector<std::uint32_t> targets(count);
-      for (auto& t : targets) t = static_cast<std::uint32_t>(rng() % kLocals);
-      if (target_order) std::sort(targets.begin(), targets.end());
-      for (const std::uint32_t t : targets) {
-        arena.append(t, value);
-        next[t].push_back(value++);
+  for_both_layouts([](auto fresh) {
+    std::mt19937 rng(2013);
+    for (const bool direct : {false, true}) {
+      auto arena = fresh;
+      arena.reset(kLocals, false);
+      Boxes next(kLocals);
+      int value = 0;
+      const auto deliver = [&](std::size_t count, bool target_order) {
+        std::vector<std::uint32_t> targets(count);
+        for (auto& t : targets) t = static_cast<std::uint32_t>(rng() % kLocals);
+        if (target_order) std::sort(targets.begin(), targets.end());
+        for (const std::uint32_t t : targets) {
+          arena.append(t, value);
+          next[t].push_back(value++);
+        }
+      };
+      deliver(50, false);
+      for (int step = 0; step < 40; ++step) {
+        arena.seal();
+        Boxes cur(kLocals);
+        cur.swap(next);
+        const std::size_t traffic = rng() % 300;
+        const bool target_order = rng() % 2 == 0;
+        if (direct) deliver(traffic, target_order);
+        expect_sealed(arena, cur);
+        arena.drain();
+        EXPECT_TRUE(arena.drained());
+        if (!direct) deliver(traffic, target_order);
       }
-    };
-    deliver(50, false);
-    for (int step = 0; step < 40; ++step) {
-      arena.seal();
-      Boxes cur(kLocals);
-      cur.swap(next);
-      const std::size_t traffic = rng() % 300;
-      const bool target_order = rng() % 2 == 0;
-      if (direct) deliver(traffic, target_order);
-      expect_sealed(arena, cur);
-      arena.drain();
-      EXPECT_TRUE(arena.drained());
-      if (!direct) deliver(traffic, target_order);
     }
-  }
+  });
 }
 
 // ---- the reference layout (RefInboxArena) ----------------------------------
@@ -171,7 +253,6 @@ TEST(InboxArena, ReferenceArrivalsKeepInlineArenaOrder) {
   for (int step = 0; step < 40; ++step) {
     Table table = std::make_shared<BulkVector<Rec>>();
     for (std::uint32_t r = 0; r < kRecords; ++r) table->push_back(Rec{1'000'000} + static_cast<Rec>(step) * 100 + r);
-    refs.refer_to(table);
     std::vector<std::uint32_t> targets(rng() % 200);
     for (auto& t : targets) t = static_cast<std::uint32_t>(rng() % kLocals);
     if (step % 3 != 0) std::sort(targets.begin(), targets.end());  // a pull merge
@@ -181,7 +262,7 @@ TEST(InboxArena, ReferenceArrivalsKeepInlineArenaOrder) {
         inline_arena.append(t, fresh++);
       } else {
         const auto r = static_cast<std::uint32_t>(rng() % kRecords);
-        refs.append_ref(t, r);
+        refs.append_ref(t, table, r);
         inline_arena.append(t, (*table)[r]);
       }
     }
@@ -214,19 +295,16 @@ TEST(InboxArena, GroupedReferenceSealEqualsScatterSeal) {
   const Table table = table_of({10, 11, 12, 13, 14, 15});
   const std::vector<std::vector<Rec>> want = {{10, 11}, {}, {12}, {13, 14, 15}};
   RefInboxArena<Rec> grouped, interleaved, broken;
-  for (RefInboxArena<Rec>* a : {&grouped, &interleaved, &broken}) {
-    a->reset(4, false);
-    a->refer_to(table);
-  }
+  for (RefInboxArena<Rec>* a : {&grouped, &interleaved, &broken}) a->reset(4, false);
   const std::pair<std::uint32_t, std::uint32_t> in_order[] = {{0, 0}, {0, 1}, {2, 2},
                                                               {3, 3}, {3, 4}, {3, 5}};
   const std::pair<std::uint32_t, std::uint32_t> mixed[] = {{3, 3}, {0, 0}, {3, 4},
                                                            {2, 2}, {0, 1}, {3, 5}};
   const std::pair<std::uint32_t, std::uint32_t> late[] = {{0, 0}, {2, 2}, {3, 3},
                                                           {3, 4}, {0, 1}, {3, 5}};
-  for (const auto& [t, r] : in_order) grouped.append_ref(t, r);
-  for (const auto& [t, r] : mixed) interleaved.append_ref(t, r);
-  for (const auto& [t, r] : late) broken.append_ref(t, r);
+  for (const auto& [t, r] : in_order) grouped.append_ref(t, table, r);
+  for (const auto& [t, r] : mixed) interleaved.append_ref(t, table, r);
+  for (const auto& [t, r] : late) broken.append_ref(t, table, r);
 
   const auto walk = [](const RefInboxArena<Rec>& a) {
     std::vector<std::pair<std::uint32_t, Rec>> out;
@@ -254,17 +332,17 @@ TEST(InboxArena, GroupedReferenceSealEqualsScatterSeal) {
 TEST(InboxArena, CopiedReferenceArenaOutlivesRecycledRecords) {
   RefInboxArena<Rec> source;
   source.reset(3, false);
-  source.refer_to(table_of({7, 8, 9}));
-  source.append_ref(2, 0);
+  Table records = table_of({7, 8, 9});
+  source.append_ref(2, records, 0);
   source.append(1, 42);
-  source.append_ref(2, 2);
+  source.append_ref(2, records, 2);
+  records.reset();  // the arena alone keeps the records now
   const RefInboxArena<Rec> snapshot = source;
 
   source.seal();
   expect_sealed(source, {{}, {42}, {7, 9}});
   source.drain();
-  source.refer_to(table_of({70, 80, 90}));
-  source.append_ref(0, 1);
+  source.append_ref(0, table_of({70, 80, 90}), 1);
   source.seal();
   expect_sealed(source, {{80}, {}, {}});
 
