@@ -19,41 +19,10 @@
 #include <cstdint>
 
 #include "cloud/vm.hpp"
+#include "runtime/metrics.hpp"
 #include "util/units.hpp"
 
 namespace pregel::cloud {
-
-/// Raw per-worker activity counts for one superstep (filled by the runtime).
-struct WorkerLoad {
-  std::uint64_t vertices_computed = 0;
-  std::uint64_t messages_processed = 0;  ///< drained from the previous superstep
-  std::uint64_t messages_sent_local = 0;
-  std::uint64_t messages_sent_remote = 0;
-  /// Internal sequential work performed by subgraph-centric programs (edge
-  /// relaxations, union-find operations, Gauss-Seidel updates...). Zero for
-  /// vertex-centric programs. Charged separately from vertices_computed so
-  /// the barrier's active-count audit stays exact while local-convergence
-  /// sweeps are still priced.
-  std::uint64_t subgraph_ops = 0;
-  Bytes bytes_sent_remote = 0;
-  Bytes bytes_received_remote = 0;
-  Bytes memory_peak = 0;  ///< graph partition + buffered messages + vertex state
-
-  /// Field-by-field integer sum: folds per-chunk, per-sender and
-  /// per-partition loads into their owner. Order-free, so any fold order
-  /// gives the same totals.
-  WorkerLoad& operator+=(const WorkerLoad& o) noexcept {
-    vertices_computed += o.vertices_computed;
-    messages_processed += o.messages_processed;
-    messages_sent_local += o.messages_sent_local;
-    messages_sent_remote += o.messages_sent_remote;
-    subgraph_ops += o.subgraph_ops;
-    bytes_sent_remote += o.bytes_sent_remote;
-    bytes_received_remote += o.bytes_received_remote;
-    memory_peak += o.memory_peak;
-    return *this;
-  }
-};
 
 struct CostParams {
   // CPU work, expressed in clock cycles on the VM's cores so that a faster

@@ -304,7 +304,7 @@ class SubgraphContext {
   }
   /// Request activation of a local vertex at an absolute future superstep.
   void wake_at(std::uint32_t local, std::uint64_t superstep) {
-    engine_->chunk_scratch_[partition_].wakes.push_back({superstep, local});
+    engine_->schedule_wake(partition_, local, superstep);
   }
 
   // ---- aggregation / globals ----------------------------------------------
@@ -545,14 +545,6 @@ class Engine final : public EngineCore {
     VertexId root;
   };
 
-  /// Source-side counters a destination's merge accumulates on behalf of a
-  /// source partition; folded back (order-free integer sums) after the merge
-  /// barrier.
-  struct SendScratch {
-    cloud::WorkerLoad load;
-    Bytes outbuf_bytes = 0;
-  };
-
   /// One unit of stealable work: the slice [first, last) of a partition's
   /// sorted active list (active_cur).
   struct ChunkRef {
@@ -577,7 +569,7 @@ class Engine final : public EngineCore {
     /// until the merge is done with their slots.
     std::vector<BroadcastRecord> records;
     std::vector<std::pair<VertexId, std::uint32_t>> broadcasters;
-    cloud::WorkerLoad load;
+    WorkerLoad load;
     Bytes drained_bytes = 0;
     std::int64_t state_delta = 0;
     /// Rank / combiner source / emission counter of the vertex currently in
@@ -847,8 +839,7 @@ class Engine final : public EngineCore {
           },
           [](const StagedMessage& s) { return s.sender_rank; },
           [this, q, n](std::uint32_t src, StagedMessage& s) {
-            SendScratch& acc = send_scratch_[q * n + src];
-            deliver(src, q, s.target_local, std::move(s.message), acc.load, acc.outbuf_bytes,
+            deliver(src, q, s.target_local, std::move(s.message), send_scratch_[q * n + src],
                     s.combine_src);
           });
     }
@@ -974,11 +965,10 @@ class Engine final : public EngineCore {
                              std::pair(mine[pi].s->sender_rank, mine[pi].s->seq) <
                                  std::pair(b->rank, record_seq_[b->first + ri]))) {
           const PullSend& send = mine[pi++];
-          SendScratch& acc = send_scratch_[q * n + send.src];
-          deliver(send.src, q, u, std::move(send.s->message), acc.load, acc.outbuf_bytes,
+          deliver(send.src, q, u, std::move(send.s->message), send_scratch_[q * n + send.src],
                   send.s->combine_src);
         } else {
-          SendScratch& acc = send_scratch_[q * n + b->partition];
+          WorkerLoad& acc = send_scratch_[q * n + b->partition];
           for (std::size_t j = 0; j < k; ++j)
             deliver_record(table, b->first + ri, b->partition, q, u, acc, b->combine_src);
           if (++ri == b->count) next_broadcaster();
@@ -1027,9 +1017,10 @@ class Engine final : public EngineCore {
 
   /// The superstep tail both programming models share: fold chunk-local
   /// partition counters back in chunk order (integer sums), retire the
-  /// drained arenas, merge every destination, fold the per-(destination x
-  /// source) send counters back into their source partitions (order-free
-  /// integer sums), then replay the aggregate / root logs in rank order.
+  /// drained arenas, merge every destination, fold each (source,
+  /// destination) link's send tally into its source, its destination's
+  /// received bytes and the confined-replay log (order-free integer sums),
+  /// then replay the aggregate / root logs in rank order.
   void merge_and_replay() {
     const std::size_t n = parts_.size();
     for (std::uint32_t p = 0; p < n; ++p) {
@@ -1056,11 +1047,11 @@ class Engine final : public EngineCore {
     });
 
     for (std::uint32_t p = 0; p < n; ++p) {
-      PartitionMeta& ps = parts_[p];
       for (std::uint32_t q = 0; q < n; ++q) {
-        SendScratch& acc = send_scratch_[q * n + p];
-        ps.load += acc.load;
-        ps.outbuf_bytes += acc.outbuf_bytes;
+        WorkerLoad& acc = send_scratch_[q * n + p];
+        parts_[p].load += acc;
+        parts_[q].load.bytes_received_remote += acc.bytes_sent_remote;
+        outbox_log_cur_[p * n + q] = acc.bytes_sent_remote;
         acc = {};
       }
     }
@@ -1275,9 +1266,8 @@ class Engine final : public EngineCore {
     if (direct_route_) {
       // One lane, unmigrated, push: chunks run in rank order, so delivering
       // now is the merge order, without staging the message.
-      SendScratch& acc = send_scratch_[tp * parts_.size() + from_partition];
-      deliver(from_partition, tp, tl, std::move(message), acc.load, acc.outbuf_bytes,
-              cs.computing_src);
+      deliver(from_partition, tp, tl, std::move(message),
+              send_scratch_[tp * parts_.size() + from_partition], cs.computing_src);
       return;
     }
     // Capture the emission in this chunk's scratch row for the destination;
@@ -1308,11 +1298,11 @@ class Engine final : public EngineCore {
   }
 
   /// Deliver one emitted message into partition `tp`'s next inbox: combiner
-  /// merge, send/receive accounting, activation. Direct routing (route) and
-  /// the merge (merge_destination) share this verbatim so their per-message
-  /// effects are identical; source-side counters go through the
-  /// `src_load`/`src_outbuf` out-params because the merge cannot write the
-  /// source partition directly. `combine_src` is the sender-side combining
+  /// merge, send accounting, activation. Direct routing (route) and the
+  /// merge (merge_destination) share this verbatim so their per-message
+  /// effects are identical; the send tally `link` is the (source,
+  /// destination) accumulator, because the merge cannot write the source
+  /// partition directly. `combine_src` is the sender-side combining
   /// domain: the VM the sender's *home* partition is placed on, captured at
   /// emission time so a migrated sender keeps combining into the same bucket
   /// it would have unmigrated (bit-identity of combined message streams).
@@ -1320,7 +1310,7 @@ class Engine final : public EngineCore {
   /// otherwise keep it out of line, which cost a one-lane PageRank job ~15%
   /// (perfbench pagerank-wg-serial).
   [[gnu::always_inline]] void deliver(std::uint32_t from_partition, std::uint32_t tp, std::uint32_t tl, M&& message,
-               cloud::WorkerLoad& src_load, Bytes& src_outbuf, std::uint8_t combine_src) {
+               WorkerLoad& link, std::uint8_t combine_src) {
     Inbox& inbox = data_[tp].inbox;
     const Bytes payload = payload_bytes(message);
 
@@ -1340,7 +1330,7 @@ class Engine final : public EngineCore {
       }
     }
 
-    count_delivery(from_partition, tp, payload, src_load, src_outbuf);
+    count_delivery(from_partition, tp, payload, link);
     inbox.append(tl, std::move(message), combine_src);
     activate_local(tp, tl);
   }
@@ -1352,38 +1342,32 @@ class Engine final : public EngineCore {
   /// record here.
   [[gnu::always_inline]] void deliver_record(const BulkVector<M>& table, std::uint32_t record,
                                              std::uint32_t from_partition, std::uint32_t tp,
-                                             std::uint32_t tl, SendScratch& acc,
+                                             std::uint32_t tl, WorkerLoad& link,
                                              std::uint8_t combine_src) {
     if constexpr (kRefInbox) {
       if (!opts_combine_) {
-        count_delivery(from_partition, tp, payload_bytes(table[record]), acc.load,
-                       acc.outbuf_bytes);
+        count_delivery(from_partition, tp, payload_bytes(table[record]), link);
         data_[tp].inbox.append_ref(tl, records_, record);
         activate_local(tp, tl);
         return;
       }
     }
-    deliver(from_partition, tp, tl, M(table[record]), acc.load, acc.outbuf_bytes, combine_src);
+    deliver(from_partition, tp, tl, M(table[record]), link, combine_src);
   }
 
-  /// Send/receive accounting of one uncombined delivery of `payload` bytes
-  /// from `from_partition` into partition `tp`'s next inbox.
+  /// Accounting of one uncombined delivery of `payload` bytes from
+  /// `from_partition` into partition `tp`'s next inbox: the send goes on the
+  /// link's tally, from which merge_and_replay derives every other copy of
+  /// its remote bytes.
   [[gnu::always_inline]] void count_delivery(std::uint32_t from_partition, std::uint32_t tp,
-                                             Bytes payload, cloud::WorkerLoad& src_load,
-                                             Bytes& src_outbuf) {
-    PartitionMeta& dst = parts_[tp];
+                                             Bytes payload, WorkerLoad& link) {
     if (vm_of(from_partition) != vm_of(tp)) {
-      ++src_load.messages_sent_remote;
-      const Bytes wire = cost_.wire_bytes(payload);
-      src_load.bytes_sent_remote += wire;
-      src_outbuf += wire;
-      dst.load.bytes_received_remote += wire;
-      if (log_outboxes_)
-        outbox_log_cur_[from_partition * parts_.size() + tp] += wire;
+      ++link.messages_sent_remote;
+      link.bytes_sent_remote += cost_.wire_bytes(payload);
     } else {
-      ++src_load.messages_sent_local;
+      ++link.messages_sent_local;
     }
-    dst.inbox_next_bytes += cost_.buffered_bytes(payload);
+    parts_[tp].inbox_next_bytes += cost_.buffered_bytes(payload);
   }
 
   /// remain_active: staged per chunk (the destination partition's merge task
@@ -1436,7 +1420,7 @@ class Engine final : public EngineCore {
   /// [first, last) chunk indices of each partition's slices.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> part_chunk_range_;
   std::vector<ChunkScratch> chunk_scratch_;  ///< by chunk index
-  std::vector<SendScratch> send_scratch_;    ///< [dst * P + src]
+  std::vector<WorkerLoad> send_scratch_;     ///< per-link send tally, [dst * P + src]
   /// This superstep runs on one lane, unmigrated, in push mode: route()
   /// delivers each message as it is emitted instead of staging it. The one
   /// shortcut through the staged superstep; nothing else reads it.

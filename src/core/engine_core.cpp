@@ -236,7 +236,6 @@ void EngineCore::reset_run_state(const JobOptions& opts) {
       ps.state_bytes_v.assign(ps.vertices.size(), 0);
     else
       ps.state_bytes_v.clear();
-    ps.outbuf_bytes = 0;
     ps.load = {};
     if (track_dirty_)
       ps.dirty.assign(ps.vertices.size(), 0);
@@ -266,9 +265,7 @@ void EngineCore::reset_run_state(const JobOptions& opts) {
   // The manifest a standby would resume from if the primary died before
   // the first barrier: superstep 0, epoch 0, pristine aggregates.
   manager_.persist(current_manifest());
-  log_outboxes_ =
-      cluster_.recovery_mode == RecoveryMode::kConfined && cluster_.checkpoint_interval > 0;
-  outbox_log_cur_.clear();
+  outbox_log_cur_.assign(parts_.size() * parts_.size(), 0);
   vm_straggler_counts_.assign(workers_now_, 0);
   reset_partition_data();
 }
@@ -335,7 +332,6 @@ void EngineCore::prepare_superstep() {
       PREGEL_DCHECK(ps.active_cur.size() == count);
     }
     ps.load = {};
-    ps.outbuf_bytes = 0;
     // Delta-checkpoint dirty tracking: a migration rebuilt the partition
     // under us -> everything is dirty until the forced re-base publishes.
     // Ordinary dirtying happens after each compute() in the template: the
@@ -344,11 +340,6 @@ void EngineCore::prepare_superstep() {
     if (track_dirty_ && ps.dirty.size() != ps.vertices.size())
       ps.dirty.assign(ps.vertices.size(), 1);
   }
-  // Confined recovery keeps a per-superstep log of remote outbox bytes
-  // (src partition x dst partition). Only the current superstep's row is
-  // materialized: replayed supersteps regenerate their row determin-
-  // istically before the re-delivery cost is read from it.
-  if (log_outboxes_) outbox_log_cur_.assign(parts_.size() * parts_.size(), 0);
 }
 
 bool EngineCore::any_activity() const {
@@ -401,20 +392,19 @@ bool EngineCore::finalize_timing(SuperstepMetrics& sm) {
   JobMetrics& m = metrics();
   const std::uint32_t w = workers_now_;
   sm.workers.assign(w, {});
-  std::vector<cloud::WorkerLoad> vm_load(w);
 
   for (std::uint32_t p = 0; p < parts_.size(); ++p) {
     const PartitionMeta& ps = parts_[p];
-    cloud::WorkerLoad& L = vm_load[vm_of(p)];
+    WorkerLoad& L = sm.workers[vm_of(p)];
     L += ps.load;
     // Peak resident: partition graph + algorithm state + undrained inbox
     // snapshot + next-superstep buffers + serialized outgoing.
-    L.memory_peak += partition_resident_bytes(ps) + ps.outbuf_bytes;
+    L.memory_peak += partition_resident_bytes(ps) + ps.load.bytes_sent_remote;
   }
 
   Bytes unspilled_peak = 0;
   for (std::uint32_t i = 0; i < w; ++i)
-    unspilled_peak = std::max(unspilled_peak, vm_load[i].memory_peak);
+    unspilled_peak = std::max(unspilled_peak, sm.workers[i].memory_peak);
   last_unspilled_peak_ = unspilled_peak;
 
   // Governor rung 2a: above the hard watermark, spill the coldest message
@@ -428,24 +418,25 @@ bool EngineCore::finalize_timing(SuperstepMetrics& sm) {
     std::vector<Bytes> vm_spillable(w, 0);
     for (std::uint32_t p = 0; p < parts_.size(); ++p) {
       const PartitionMeta& ps = parts_[p];
-      vm_spillable[vm_of(p)] += ps.inbox_cur_bytes + ps.inbox_next_bytes + ps.outbuf_bytes;
+      vm_spillable[vm_of(p)] +=
+          ps.inbox_cur_bytes + ps.inbox_next_bytes + ps.load.bytes_sent_remote;
     }
     // Track how much of the swath's peak superstep was spillable message
     // buffer: the sizers discount it from the footprint when spilling is
     // priced cheaper than shrinking the swath (spill-aware sizing).
     if (unspilled_peak >= swath_.peak_memory_since_initiation) {
       for (std::uint32_t i = 0; i < w; ++i) {
-        if (vm_load[i].memory_peak == unspilled_peak) {
+        if (sm.workers[i].memory_peak == unspilled_peak) {
           peak_spillable_since_initiation_ = vm_spillable[i];
           break;
         }
       }
     }
     for (std::uint32_t i = 0; i < w; ++i) {
-      const Bytes spill = governor_.spill_amount(vm_load[i].memory_peak, vm_spillable[i]);
+      const Bytes spill = governor_.spill_amount(sm.workers[i].memory_peak, vm_spillable[i]);
       if (spill == 0) continue;
       vm_spill[i] = spill;
-      vm_load[i].memory_peak -= spill;
+      sm.workers[i].memory_peak -= spill;
       ++m.governor_spills;
       m.governor_spill_bytes += spill;
     }
@@ -459,26 +450,17 @@ bool EngineCore::finalize_timing(SuperstepMetrics& sm) {
   std::vector<double> factors(w);
   for (std::uint32_t i = 0; i < w; ++i) {
     WorkerStepMetrics& wm = sm.workers[i];
-    const cloud::WorkerLoad& L = vm_load[i];
-    wm.vertices_computed = L.vertices_computed;
-    wm.messages_processed = L.messages_processed;
-    wm.messages_sent_local = L.messages_sent_local;
-    wm.messages_sent_remote = L.messages_sent_remote;
-    wm.bytes_sent_remote = L.bytes_sent_remote;
-    wm.bytes_received_remote = L.bytes_received_remote;
-    wm.subgraph_ops = L.subgraph_ops;
-    wm.memory_peak = L.memory_peak;
 
     // Continuous multi-tenancy jitter times episodic straggler slowdowns.
     const double jitter = faults_.slowdown(i, superstep_);
     factors[i] = jitter;
-    raw_compute[i] = cost_.compute_time(L, cluster_.vm);
-    raw_network[i] = cost_.network_time(L, cluster_.vm, w - 1);
+    raw_compute[i] = cost_.compute_time(wm, cluster_.vm);
+    raw_network[i] = cost_.network_time(wm, cluster_.vm, w - 1);
     if (replaying && !replay_lost(i)) {
       // Confined replay: healthy workers keep their state and only
       // re-deliver the logged outbox bytes addressed to lost partitions;
       // the load counters above still describe the logical superstep.
-      cloud::WorkerLoad redeliver;
+      WorkerLoad redeliver;
       redeliver.bytes_sent_remote = redelivery_bytes(i);
       wm.compute_time = 0.0;
       wm.network_time = cost_.network_time(redeliver, cluster_.vm, 1) * jitter;
@@ -493,9 +475,9 @@ bool EngineCore::finalize_timing(SuperstepMetrics& sm) {
       m.governor_spill_time += spill_t;
     }
     slowest = std::max(slowest, wm.busy_time());
-    post_spill_peak = std::max(post_spill_peak, L.memory_peak);
+    post_spill_peak = std::max(post_spill_peak, wm.memory_peak);
 
-    if (cost_.triggers_restart(L.memory_peak, cluster_.vm)) restart = true;
+    if (cost_.triggers_restart(wm.memory_peak, cluster_.vm)) restart = true;
   }
   last_post_spill_peak_ = post_spill_peak;
 
@@ -578,8 +560,8 @@ bool EngineCore::finalize_timing(SuperstepMetrics& sm) {
     Bytes worst = 0;
     std::uint32_t worst_vm = 0;
     for (std::uint32_t i = 0; i < w; ++i)
-      if (vm_load[i].memory_peak > worst) {
-        worst = vm_load[i].memory_peak;
+      if (sm.workers[i].memory_peak > worst) {
+        worst = sm.workers[i].memory_peak;
         worst_vm = i;
       }
     if (opts_.fail_on_vm_restart) throw JobFailure(superstep_, worst_vm, worst, cluster_.vm.ram);
@@ -1286,7 +1268,6 @@ bool EngineCore::replay_lost(std::uint32_t vm) const noexcept {
 /// Remote bytes partitions on `vm` sent to partitions on any lost VM this
 /// superstep (the logged outbox a healthy worker re-delivers in replay).
 Bytes EngineCore::redelivery_bytes(std::uint32_t vm) const {
-  if (outbox_log_cur_.empty()) return 0;
   const std::size_t n = parts_.size();
   Bytes total = 0;
   for (std::size_t p = 0; p < n; ++p) {

@@ -106,8 +106,9 @@ struct PartitionMeta {
   /// are bit-identical.
   std::vector<std::uint8_t> dirty;
   Bytes graph_bytes = 0;
-  Bytes outbuf_bytes = 0;  ///< serialized remote sends buffered this superstep
-  cloud::WorkerLoad load;  ///< raw counters, reset each superstep
+  /// Raw counters, reset each superstep. load.bytes_sent_remote is also the
+  /// partition's serialized outgoing buffer.
+  WorkerLoad load;
 };
 
 class EngineCore {
@@ -249,9 +250,9 @@ class EngineCore {
 
   /// Delta sizing active this run (checkpointing on + delta mode on).
   bool track_dirty_ = false;
-  /// Confined recovery keeps a per-superstep log of remote outbox bytes,
-  /// indexed [src_partition][dst_partition]; deliver() feeds it.
-  bool log_outboxes_ = false;
+  /// This superstep's remote bytes per link, indexed [src_partition *
+  /// P + dst_partition]: the merge's fold copies each link's send tally in,
+  /// and confined replay prices its re-delivery from it.
   std::vector<Bytes> outbox_log_cur_;
 
  private:

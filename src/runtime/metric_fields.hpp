@@ -240,6 +240,16 @@ consteval std::size_t member_count() {
     return sizeof...(Members);
 }
 
+/// Data members of R. Aggregate initialization takes a base subobject as one
+/// element, so a record extending WorkerLoad counts the base's members instead.
+template <class R>
+consteval std::size_t data_members() {
+  if constexpr (std::is_base_of_v<WorkerLoad, R>)
+    return member_count<R>() - 1 + member_count<WorkerLoad>();
+  else
+    return member_count<R>();
+}
+
 /// Each row names a distinct column, each stored row a distinct member, and
 /// the stored rows plus `nested_lists` (superstep/worker vectors) cover every
 /// data member of R. Derived rows' accessors are not compared: equality of
@@ -253,7 +263,7 @@ consteval bool one_row_per_member(const MetricField<R> (&table)[N], std::size_t 
         return false;
     if (table[i].stored()) ++stored;
   }
-  return stored + nested_lists == member_count<R>();
+  return stored + nested_lists == data_members<R>();
 }
 
 static_assert(one_row_per_member(kWorkerFields, 0), "each WorkerStepMetrics member needs one row");

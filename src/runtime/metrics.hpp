@@ -15,19 +15,43 @@
 
 namespace pregel {
 
-/// One worker VM's activity and modeled timing within one superstep.
-struct WorkerStepMetrics {
+/// Raw activity counts of one worker (or one partition, one chunk, one
+/// source-destination link) within one superstep: what the cost model
+/// prices (cloud/cost_model.hpp). The exported worker row extends it, so it
+/// shows exactly the counts that were priced.
+struct WorkerLoad {
   std::uint64_t vertices_computed = 0;
-  std::uint64_t messages_processed = 0;
+  std::uint64_t messages_processed = 0;  ///< drained from the previous superstep
   std::uint64_t messages_sent_local = 0;
   std::uint64_t messages_sent_remote = 0;
-  /// Internal sequential steps run by subgraph-centric programs (relaxations,
-  /// union-find ops, Gauss-Seidel updates). Zero under vertex-centric
-  /// programs; priced via CostParams::cycles_per_subgraph_op.
+  /// Internal sequential work performed by subgraph-centric programs (edge
+  /// relaxations, union-find operations, Gauss-Seidel updates...). Zero for
+  /// vertex-centric programs. Charged separately from vertices_computed so
+  /// the barrier's active-count audit stays exact while local-convergence
+  /// sweeps are still priced.
   std::uint64_t subgraph_ops = 0;
   Bytes bytes_sent_remote = 0;
   Bytes bytes_received_remote = 0;
-  Bytes memory_peak = 0;
+  Bytes memory_peak = 0;  ///< graph partition + buffered messages + vertex state
+
+  /// Field-by-field integer sum: folds per-chunk, per-link and per-partition
+  /// loads into their owner. Order-free, so any fold order gives the same
+  /// totals.
+  WorkerLoad& operator+=(const WorkerLoad& o) noexcept {
+    vertices_computed += o.vertices_computed;
+    messages_processed += o.messages_processed;
+    messages_sent_local += o.messages_sent_local;
+    messages_sent_remote += o.messages_sent_remote;
+    subgraph_ops += o.subgraph_ops;
+    bytes_sent_remote += o.bytes_sent_remote;
+    bytes_received_remote += o.bytes_received_remote;
+    memory_peak += o.memory_peak;
+    return *this;
+  }
+};
+
+/// One worker VM's load and modeled timing within one superstep.
+struct WorkerStepMetrics : WorkerLoad {
   /// Message-buffer bytes the memory governor moved to blob storage this
   /// superstep; memory_peak is net of them (spilled = off-VM).
   Bytes spilled_bytes = 0;

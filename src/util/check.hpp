@@ -7,6 +7,12 @@
 // a check needs the failing expression's text and location.
 #pragma once
 
+// Results are bit-identical only under IEEE binary64 arithmetic evaluated as
+// written (docs/MODEL.md "Determinism"); -ffast-math reorders and contracts it.
+#ifdef __FAST_MATH__
+#error "pregel++ must not be built with -ffast-math: it breaks bit-identical results"
+#endif
+
 #include <sstream>
 #include <stdexcept>
 #include <string>

@@ -224,6 +224,26 @@ TEST(Engine, WakeAtRejectsPastSuperstep) {
   EXPECT_THROW(e.run(opts), std::logic_error);
 }
 
+struct BadSubgraphWakeProgram {
+  static constexpr bool kSubgraphModel = true;
+  struct VertexValue {};
+  using MessageValue = std::uint8_t;
+  template <class Ctx>
+  void compute_subgraph(Ctx& ctx) const {
+    ctx.wake_at(0, ctx.superstep());  // not in the future
+  }
+};
+
+TEST(Engine, SubgraphWakeAtRejectsPastSuperstep) {
+  Graph g = path_graph(2);
+  const auto parts = RangePartitioner{}.partition(g, 1);
+  Engine<BadSubgraphWakeProgram> e(g, {}, small_cluster(1), parts);
+  JobOptions opts;
+  opts.start_all_vertices = true;
+  opts.max_supersteps = 200;
+  EXPECT_THROW(e.run(opts), std::logic_error);
+}
+
 struct ForeverProgram {
   struct VertexValue {};
   using MessageValue = std::uint8_t;

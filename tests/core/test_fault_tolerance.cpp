@@ -239,6 +239,40 @@ TEST(FaultTolerance, ConfinedRecoveryCheaperThanFullRollback) {
     ASSERT_DOUBLE_EQ(rc.values[v].rank, rf.values[v].rank) << v;
 }
 
+// A confined replay re-delivers what the healthy workers sent, whether the
+// restored checkpoint is a periodic one or the governor's anchor.
+TEST(FaultTolerance, ConfinedReplayFromGovernorAnchorRedeliversLoggedBytes) {
+  Graph g = barabasi_albert(300, 3, 5);
+  const auto parts = HashPartitioner{}.partition(g, 4);
+  JobOptions o;
+  o.start_all_vertices = true;
+  o.governor.enabled = true;
+  o.swath.memory_target = 1024_GiB;  // never under pressure
+
+  ClusterConfig anchor_only = base_cluster();
+  anchor_only.recovery_mode = RecoveryMode::kConfined;
+  anchor_only.scheduled_failures = {{7, 2}};
+  ClusterConfig periodic = anchor_only;
+  periodic.checkpoint_interval = 1000;  // never due: both restore the anchor
+
+  Engine<PageRankProgram> ea(g, {20, 0.85}, anchor_only, parts);
+  Engine<PageRankProgram> ep(g, {20, 0.85}, periodic, parts);
+  const auto ra = ea.run(o);
+  const auto rp = ep.run(o);
+  ASSERT_FALSE(ra.failed);
+  ASSERT_FALSE(rp.failed);
+  EXPECT_EQ(ra.metrics.worker_failures, 1u);
+  EXPECT_GT(ra.metrics.confined_replay_time, 0.0);
+  ASSERT_EQ(ra.metrics.supersteps.size(), rp.metrics.supersteps.size());
+  for (std::size_t s = 0; s < ra.metrics.supersteps.size(); ++s) {
+    const auto& wa = ra.metrics.supersteps[s].workers;
+    const auto& wp = rp.metrics.supersteps[s].workers;
+    ASSERT_EQ(wa.size(), wp.size());
+    for (std::size_t w = 0; w < wa.size(); ++w)
+      EXPECT_DOUBLE_EQ(wa[w].network_time, wp[w].network_time) << "record " << s << ", worker " << w;
+  }
+}
+
 TEST(FaultTolerance, TransientFaultsMaskedWithIdenticalResults) {
   Graph g = barabasi_albert(250, 3, 13);
   const auto parts = HashPartitioner{}.partition(g, 4);

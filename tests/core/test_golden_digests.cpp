@@ -93,6 +93,10 @@ constexpr std::uint64_t kBcSwathedPullAlways = 0xda852d74a8059127ULL;
 // outside the fault plan; folding every stream onto FaultPlan::seed left it
 // untouched.
 constexpr std::uint64_t kPageRankAllFaultStreams = 0x27d01126901f4fa7ULL;
+// Pinned while every remote send still wrote a confined-replay log entry of
+// its own; deriving the log from the per-link send tally left it untouched.
+constexpr std::uint64_t kPageRankConfinedRecovery = 0x39bbc0fa3e70e5a3ULL;
+constexpr std::uint64_t kPageRankConfinedRecoveryRows = 0x2bf44e3619e897ddULL;
 
 constexpr std::uint32_t kLanes[] = {1, 4};
 
@@ -151,6 +155,37 @@ TEST(GoldenDigest, PageRankCombinerCheckpointedMigration) {
       ASSERT_NEAR(r.values[v].rank, ref[v], 1e-12) << "vertex " << v;
     EXPECT_EQ(digest(r, kRankBits), kPageRankCombinerCheckpointedMigration)
         << lanes << " lanes";
+  }
+}
+
+// One worker death under confined recovery: the healthy workers' replay
+// supersteps are priced from the logged per-link remote bytes.
+TEST(GoldenDigest, PageRankConfinedRecovery) {
+  const Graph g = barabasi_albert(500, 3, 2013);
+  ClusterConfig c = eight_partitions_four_vms();
+  c.checkpoint_interval = 3;
+  c.recovery_mode = RecoveryMode::kConfined;
+  c.scheduled_failures = {{7, 2}};
+  const auto parts = HashPartitioner{}.partition(g, c.num_partitions);
+  const auto ref = reference_pagerank(g, 12);
+  for (const std::uint32_t lanes : kLanes) {
+    JobOptions o;
+    o.start_all_vertices = true;
+    o.parallelism = lanes;
+    Engine<PageRankProgram> e(g, {12, 0.85}, c, parts);
+    const auto r = e.run(o);
+    ASSERT_FALSE(r.failed);
+    EXPECT_EQ(r.metrics.worker_failures, 1u);
+    EXPECT_GT(r.metrics.confined_replay_time, 0.0) << "no confined replay";
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      ASSERT_NEAR(r.values[v].rank, ref[v], 1e-12) << "vertex " << v;
+    EXPECT_EQ(digest(r, kRankBits), kPageRankConfinedRecovery) << lanes << " lanes";
+    // The span can hide a healthy worker's re-delivery behind the lost
+    // worker's recompute, so every worker row's network time is pinned too.
+    Fnv1a rows;
+    for (const SuperstepMetrics& s : r.metrics.supersteps)
+      for (const WorkerStepMetrics& w : s.workers) rows.add(w.network_time);
+    EXPECT_EQ(rows.value(), kPageRankConfinedRecoveryRows) << lanes << " lanes";
   }
 }
 
