@@ -42,8 +42,11 @@ bool EngineCore::start(const JobOptions& opts, JobReport& result) {
   validate(opts);
   reset_run_state(opts);
 
-  metrics().recovery_mode =
-      cluster_.checkpoint_interval > 0 ? to_string(cluster_.recovery_mode) : "none";
+  // The governor's anchor checkpoint makes a run recoverable without
+  // periodic checkpoints (see the seeding below).
+  metrics().recovery_mode = cluster_.checkpoint_interval > 0 || governor_.enabled()
+                                ? to_string(cluster_.recovery_mode)
+                                : "none";
   if (!simulate_setup()) return false;
 
   // Barrier before superstep 0: activate all vertices (PageRank-style) or

@@ -1,10 +1,15 @@
 #include "partition/multilevel.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <numeric>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "partition/node_pool.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -12,13 +17,18 @@ namespace pregel {
 
 namespace {
 
+/// An arc weight: the number of input arcs it stands for. A level's arc
+/// weights sum to at most the input's arc count, which partition() checks
+/// fits, so no sum of them overflows either.
+using Weight = std::uint32_t;
+
 /// Weighted graph used internally across coarsening levels, in CSR form:
 /// vertex v's arcs are (nbr[i], ew[i]) for i in [off[v], off[v+1]).
 struct WGraph {
   std::vector<std::uint64_t> vweight;  // per vertex
   std::vector<EdgeIndex> off;          // size n+1
   std::vector<VertexId> nbr;
-  std::vector<std::uint64_t> ew;
+  std::vector<Weight> ew;
 
   VertexId n() const { return static_cast<VertexId>(vweight.size()); }
   std::uint64_t total_weight() const {
@@ -68,6 +78,15 @@ struct CoarseLevel {
   std::vector<VertexId> fine_to_coarse;
 };
 
+/// The coarse-adjacency accumulator. A libstdc++ node of a map keyed by an
+/// integer is a next pointer and the value (std::hash of an integer is not
+/// cached), so each node fits one pool slot and clear() recycles them.
+using AccValue = std::pair<const VertexId, Weight>;
+constexpr std::size_t kAccSlotBytes = sizeof(void*) + sizeof(AccValue);
+using AccPool = NodePool<kAccSlotBytes>;
+using AccMap = std::unordered_map<VertexId, Weight, std::hash<VertexId>, std::equal_to<VertexId>,
+                                  PoolAllocator<AccValue, kAccSlotBytes>>;
+
 CoarseLevel coarsen_once(const WGraph& g, Xoshiro256& rng) {
   const VertexId n = g.n();
   std::vector<VertexId> match(n, kInvalidVertex);
@@ -78,7 +97,7 @@ CoarseLevel coarsen_once(const WGraph& g, Xoshiro256& rng) {
   for (VertexId v : visit) {
     if (match[v] != kInvalidVertex) continue;
     VertexId best = kInvalidVertex;
-    std::uint64_t best_w = 0;
+    Weight best_w = 0;
     for (EdgeIndex i = g.off[v]; i < g.off[v + 1]; ++i) {
       const VertexId u = g.nbr[i];
       if (u != v && match[u] == kInvalidVertex && g.ew[i] >= best_w) {
@@ -115,12 +134,16 @@ CoarseLevel coarsen_once(const WGraph& g, Xoshiro256& rng) {
   // heavy-edge matching breaks ties by adjacency order, and the arcs are
   // appended in this map's iteration order. That order depends on the
   // bucket count, which clear() keeps, so the assignments depend on there
-  // being one map per call, cleared per coarse vertex.
+  // being one map per call, cleared per coarse vertex. The nodes clear()
+  // frees go back to `pool`, and the next coarse vertex takes them again.
+  // The arc arrays keep their fine-level capacity: the unwritten tail is
+  // never touched, and trimming it would copy the level.
   cg.off.reserve(static_cast<std::size_t>(next) + 1);
   cg.off.push_back(0);
   cg.nbr.reserve(g.nbr.size());
   cg.ew.reserve(g.nbr.size());
-  std::unordered_map<VertexId, std::uint64_t> acc;
+  AccPool pool;
+  AccMap acc{AccMap::allocator_type{pool}};
   for (VertexId cv = 0; cv < next; ++cv) {
     acc.clear();
     auto gather = [&](VertexId v) {
@@ -137,8 +160,6 @@ CoarseLevel coarsen_once(const WGraph& g, Xoshiro256& rng) {
     }
     cg.off.push_back(cg.nbr.size());
   }
-  cg.nbr.shrink_to_fit();
-  cg.ew.shrink_to_fit();
   return lvl;
 }
 
@@ -224,8 +245,8 @@ void refine(const WGraph& g, const WGraph& in, std::vector<PartitionId>& assign,
   const double max_weight = static_cast<double>(g.total_weight()) /
                             static_cast<double>(parts) * tolerance;
 
-  std::vector<std::uint64_t> id(n, 0);
-  std::vector<std::uint64_t> ed(n, 0);
+  std::vector<Weight> id(n, 0);
+  std::vector<Weight> ed(n, 0);
   auto recount = [&](VertexId v) {
     id[v] = ed[v] = 0;
     for (EdgeIndex i = g.off[v]; i < g.off[v + 1]; ++i)
@@ -233,7 +254,7 @@ void refine(const WGraph& g, const WGraph& in, std::vector<PartitionId>& assign,
   };
   for (VertexId v = 0; v < n; ++v) recount(v);
 
-  std::vector<std::uint64_t> conn(parts, 0);
+  std::vector<Weight> conn(parts, 0);
   std::vector<VertexId> order(n);
   std::iota(order.begin(), order.end(), VertexId{0});
 
@@ -246,7 +267,7 @@ void refine(const WGraph& g, const WGraph& in, std::vector<PartitionId>& assign,
       std::fill(conn.begin(), conn.end(), 0);
       for (EdgeIndex i = g.off[v]; i < g.off[v + 1]; ++i) conn[assign[g.nbr[i]]] += g.ew[i];
       PartitionId best = from;
-      std::uint64_t best_conn = conn[from];
+      Weight best_conn = conn[from];
       for (PartitionId p = 0; p < parts; ++p) {
         if (p == from) continue;
         if (part_weight[p] + static_cast<double>(g.vweight[v]) > max_weight) continue;
@@ -287,6 +308,8 @@ MultilevelPartitioner::MultilevelPartitioner(Options options) : opt_(options) {
 
 Partitioning MultilevelPartitioner::partition(const Graph& g, PartitionId num_parts) const {
   PREGEL_CHECK(num_parts > 0);
+  PREGEL_CHECK_MSG(g.num_arcs() <= std::numeric_limits<Weight>::max(),
+                   "MultilevelPartitioner: more arcs than a 32-bit arc weight can count");
   const VertexId n = g.num_vertices();
   if (num_parts == 1 || n == 0)
     return {std::vector<PartitionId>(n, 0), std::max<PartitionId>(num_parts, 1)};

@@ -273,6 +273,35 @@ TEST(FaultTolerance, ConfinedReplayFromGovernorAnchorRedeliversLoggedBytes) {
   }
 }
 
+// The governor's anchor checkpoint makes a run without periodic checkpoints
+// recoverable, so its recovery mode is labelled, not "none".
+TEST(FaultTolerance, GovernorAnchorLabelsRecoveryMode) {
+  Graph g = barabasi_albert(300, 3, 5);
+  const auto parts = HashPartitioner{}.partition(g, 4);
+  JobOptions o;
+  o.start_all_vertices = true;
+  o.swath.memory_target = 1024_GiB;  // never under pressure
+
+  ClusterConfig c = base_cluster();
+  ASSERT_EQ(c.checkpoint_interval, 0u);
+  c.recovery_mode = RecoveryMode::kConfined;
+  c.scheduled_failures = {{7, 2}};
+
+  JobOptions governed = o;
+  governed.governor.enabled = true;
+  Engine<PageRankProgram> eg(g, {20, 0.85}, c, parts);
+  const auto rg = eg.run(governed);
+  ASSERT_FALSE(rg.failed);
+  EXPECT_EQ(rg.metrics.worker_failures, 1u);
+  EXPECT_EQ(rg.metrics.recovery_mode, "confined");
+
+  // Without the governor nothing is restorable: the death loses the job.
+  Engine<PageRankProgram> eu(g, {20, 0.85}, c, parts);
+  const auto ru = eu.run(o);
+  EXPECT_TRUE(ru.failed);
+  EXPECT_EQ(ru.metrics.recovery_mode, "none");
+}
+
 TEST(FaultTolerance, TransientFaultsMaskedWithIdenticalResults) {
   Graph g = barabasi_albert(250, 3, 13);
   const auto parts = HashPartitioner{}.partition(g, 4);

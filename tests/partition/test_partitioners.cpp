@@ -276,6 +276,39 @@ TEST(MultilevelPartitioner, PinnedAssignmentDigests) {
   }
 }
 
+// The benchmark's own partition and a coarse-map rehash, pinned like
+// PinnedAssignmentDigests: any change to the coarsening order moves them.
+TEST(MultilevelPartitioner, PinnedBenchmarkInputDigests) {
+  // sssp-cp-ckpt-migrate's input: the CP analog at 1/10, seed 2013, 8 parts.
+  const Graph cp = dataset_analog("CP", 10, 2013);
+  // A path with a hub at its far end. Every earlier coarse vertex has at
+  // most four coarse neighbours, so the accumulator holds 13 buckets when
+  // the hub's coarse vertex arrives with over a hundred distinct ones and
+  // rehashes while gathering it.
+  const VertexId n = 400;
+  GraphBuilder b(n, /*undirected=*/true);
+  for (VertexId v = 0; v + 1 < n; ++v) b.add_edge(v, v + 1);
+  for (VertexId v = 0; v + 1 < n; v += 3) b.add_edge(v, n - 1);
+  const Graph hub = b.build();
+  struct Case {
+    const char* name;
+    const Graph* g;
+    PartitionId parts;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"CP/10", &cp, 8, 0xa7fdd604a9ca7265ULL},
+      {"hub path", &hub, 2, 0x0ba7166346b9ad1bULL},
+      {"hub path", &hub, 4, 0xde05db9ff18eb319ULL},
+  };
+  MultilevelPartitioner::Options o;
+  o.seed = 2013;
+  for (const Case& c : cases) {
+    EXPECT_EQ(assignment_digest(MultilevelPartitioner{o}.partition(*c.g, c.parts)), c.digest)
+        << c.name << " k=" << c.parts;
+  }
+}
+
 // All partitioners, all part counts: every vertex assigned, all parts used.
 class AllPartitioners
     : public ::testing::TestWithParam<std::tuple<int, PartitionId>> {};
