@@ -7,7 +7,8 @@
 // scheduling, scaling, placement, migration planning and pricing,
 // scale-in), checkpoints, failure recovery and the memory governor. It
 // sees partitions only as PartitionMeta — vertex lists, counters, active
-// lists, wakes — never a vertex value or a message. Engine<Program>, this
+// lists — and vertices only through its VertexBook of state bytes, dirty
+// flags and wakes; never a vertex value or a message. Engine<Program>, this
 // file, is the vertex half: per-partition values and inbox arenas
 // (core/inbox.hpp), compute, routing and the merges. It implements the
 // core's hooks: run one superstep, run master_compute, inject a swath
@@ -171,7 +172,7 @@ class VertexContext {
   /// Request activation at an absolute future superstep (used by phase-
   /// structured algorithms such as the BC backward sweep).
   void wake_at(std::uint64_t superstep) {
-    engine_->schedule_wake(chunk_, local_, superstep);
+    engine_->schedule_wake(chunk_, vertex_, superstep);
   }
 
   /// Contribute to a sum-aggregate readable by the master at this barrier
@@ -187,9 +188,7 @@ class VertexContext {
 
   /// Account algorithm state growth/shrink at this vertex (modeled bytes;
   /// feeds the worker memory meter and thus the swath heuristics).
-  void charge_state_bytes(std::int64_t delta) {
-    engine_->charge_state(partition_, local_, delta, chunk_);
-  }
+  void charge_state_bytes(std::int64_t delta) { engine_->charge_state(vertex_, delta, chunk_); }
 
   /// Declare a traversal root complete (root-scheduled algorithms).
   void mark_root_done(VertexId root) { engine_->root_done_from(root, chunk_); }
@@ -304,7 +303,7 @@ class SubgraphContext {
   }
   /// Request activation of a local vertex at an absolute future superstep.
   void wake_at(std::uint32_t local, std::uint64_t superstep) {
-    engine_->schedule_wake(partition_, local, superstep);
+    engine_->schedule_wake(partition_, vertex_at(local), superstep);
   }
 
   // ---- aggregation / globals ----------------------------------------------
@@ -333,7 +332,7 @@ class SubgraphContext {
   }
   /// Account algorithm state growth/shrink at a local vertex (modeled bytes).
   void charge_state_bytes(std::uint32_t local, std::int64_t delta) {
-    engine_->charge_state(partition_, local, delta, partition_);
+    engine_->charge_state(vertex_at(local), delta, partition_);
   }
   /// Declare a traversal root complete (root-scheduled algorithms).
   void mark_root_done(VertexId root) {
@@ -458,9 +457,10 @@ class Engine final : public EngineCore {
 
   /// Whether the program is subgraph-centric
   /// (`static constexpr bool kSubgraphModel = true;` + compute_subgraph()).
-  /// The if-constexpr dispatch in run_superstep() means vertex-path
-  /// members that call program_.compute never instantiate for subgraph
-  /// programs, and compute_subgraph is never required of vertex programs.
+  /// The members that call program_.compute or compute_subgraph are
+  /// constrained on it, so neither is required of the other model's
+  /// programs, even under explicit instantiation; run_superstep() dispatches
+  /// with if constexpr.
   static constexpr bool subgraph_model() {
     if constexpr (requires { Program::kSubgraphModel; })
       return static_cast<bool>(Program::kSubgraphModel);
@@ -562,7 +562,7 @@ class Engine final : public EngineCore {
     std::vector<StagedAgg> aggs;
     std::vector<StagedRootDone> roots;
     std::vector<std::uint32_t> activations;  ///< locals of this chunk's partition
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> wakes;  ///< (at, local)
+    std::vector<std::pair<std::uint64_t, VertexId>> wakes;  ///< (at, vertex)
     /// Pull-mode broadcasts, sender-major (one compute() call is contiguous),
     /// and each sender with the index of its first record. The records move
     /// to the superstep's table after the compute barrier; the senders stay
@@ -768,11 +768,13 @@ class Engine final : public EngineCore {
   }
 
   /// Drain one frontier chunk through compute(), staging every side effect
-  /// in the chunk's scratch. Chunks write only their own scratch, their own
-  /// vertices' values (disjoint: a vertex is in exactly one slice), and
-  /// per-vertex state_bytes_v slots, and read the sealed inbox arena — so
-  /// any lane may run any chunk.
-  void compute_chunk(std::size_t c) {
+  /// in the chunk's scratch. Chunks write only their own scratch and their
+  /// own vertices' values, state bytes and dirty flags (disjoint: a vertex
+  /// is in exactly one slice), and read the sealed inbox arena — so any
+  /// lane may run any chunk.
+  void compute_chunk(std::size_t c)
+    requires(!subgraph_model())
+  {
     const ChunkRef ref = chunks_[c];
     trace::Span span("engine.compute", "superstep", "part", ref.partition, "chunk", c);
     PartitionMeta& ps = parts_[ref.partition];
@@ -792,32 +794,27 @@ class Engine final : public EngineCore {
       ++cs.load.vertices_computed;
       cs.load.messages_processed += box.size();
       program_.compute(ctx, pd.values[l], box);
-      // Safe unstaged: dirty is per-vertex and a vertex lives in exactly
-      // one chunk, so concurrent chunks write disjoint bytes.
-      if (track_dirty_ && ctx.mutated_) ps.dirty[l] = 1;
+      if (track_dirty_ && ctx.mutated_) book_.dirty[ps.vertices[l]] = 1;
       for (const M& m : box) cs.drained_bytes += cost_.buffered_bytes(payload_bytes(m));
     }
   }
 
-  /// Activations and wakes staged by partition q's own chunks, applied by
-  /// q's merge task (single-threaded per destination) in chunk order. Both
-  /// are order-insensitive — activation dedupes through the bitmap and the
-  /// active list is sorted next superstep; wakes are merged through the same
-  /// bitmap when their superstep arrives — but chunk order keeps the raw
-  /// vectors deterministic anyway.
-  void apply_chunk_side_effects(std::uint32_t q) {
+  /// Activations staged by partition q's own chunks, applied by q's merge
+  /// task (single-threaded per destination) in chunk order. Activation is
+  /// order-insensitive — it dedupes through the bitmap and the active list
+  /// is sorted next superstep — but chunk order keeps the raw vector
+  /// deterministic anyway.
+  void apply_chunk_activations(std::uint32_t q) {
     const auto [first, last] = part_chunk_range_[q];
     for (std::uint32_t c = first; c < last; ++c) {
       ChunkScratch& cs = chunk_scratch_[c];
       for (std::uint32_t l : cs.activations) activate_local(q, l);
       cs.activations.clear();
-      for (const auto& [at, l] : cs.wakes) parts_[q].wakes[at].push_back(l);
-      cs.wakes.clear();
     }
   }
 
   /// Apply every staged message addressed to partition q (plus q's own
-  /// staged activations/wakes) in ascending sender rank — the order one lane
+  /// staged activations) in ascending sender rank — the order one lane
   /// walking the partitions would have delivered them in, so inbox contents
   /// (and combiner merges) are bit-identical at any lane count and after any
   /// migration. Source-side counters go to this destination's scratch row;
@@ -825,7 +822,7 @@ class Engine final : public EngineCore {
   /// merge thread may own them.
   void merge_destination(std::uint32_t q) {
     trace::Span span("engine.merge", "superstep", "part", q);
-    apply_chunk_side_effects(q);
+    apply_chunk_activations(q);
     std::size_t staged = 0;
     for (std::size_t c = 0; c < chunks_.size(); ++c) staged += chunk_scratch_[c].out[q].size();
     if (pull_this_step_) {
@@ -998,7 +995,9 @@ class Engine final : public EngineCore {
   /// messages are delivered as they are emitted instead of staged. Which
   /// lane drained which chunk is unobservable outside wall clock and the
   /// steal counters.
-  ThreadPool::StealOutcome execute_superstep_staged() {
+  ThreadPool::StealOutcome execute_superstep_staged()
+    requires(!subgraph_model())
+  {
     build_frontier_chunks();
     ThreadPool::StealOutcome steals{};
     if (pool_ && chunks_.size() > 1) {
@@ -1020,7 +1019,8 @@ class Engine final : public EngineCore {
   /// drained arenas, merge every destination, fold each (source,
   /// destination) link's send tally into its source, its destination's
   /// received bytes and the confined-replay log (order-free integer sums),
-  /// then replay the aggregate / root logs in rank order.
+  /// then replay the aggregate / root logs in rank order and file the
+  /// staged wakes in the book's calendar in chunk order.
   void merge_and_replay() {
     const std::size_t n = parts_.size();
     for (std::uint32_t p = 0; p < n; ++p) {
@@ -1127,7 +1127,9 @@ class Engine final : public EngineCore {
   /// seq is unique per chunk, so the sort is a total order independent of
   /// emission interleaving; the rank merge then delivers every inbox in
   /// ascending sender rank — subgraph delivery order is migration-invariant.
-  void compute_subgraph_partition(std::uint32_t p) {
+  void compute_subgraph_partition(std::uint32_t p)
+    requires(subgraph_model())
+  {
     PartitionMeta& ps = parts_[p];
     if (ps.active_cur.empty()) return;
     trace::Span span("engine.compute", "superstep", "part", p);
@@ -1145,12 +1147,10 @@ class Engine final : public EngineCore {
     program_.compute_subgraph(ctx);
 
     if (track_dirty_) {
-      if (ctx.unchanged_all_) {
-        for (const std::uint32_t l : ctx.changed_) ps.dirty[l] = 1;
-      } else {
-        // Conservative default, mirroring the vertex path's mutated_ = true.
-        for (const std::uint32_t l : ps.active_cur) ps.dirty[l] = 1;
-      }
+      // Without state_unchanged_all, every active local is dirty: the
+      // conservative default, mirroring the vertex path's mutated_ = true.
+      for (const std::uint32_t l : ctx.unchanged_all_ ? ctx.changed_ : ps.active_cur)
+        book_.dirty[ps.vertices[l]] = 1;
     }
 
     for (auto& row : cs.out)
@@ -1170,7 +1170,9 @@ class Engine final : public EngineCore {
   /// each stages into its own scratch), then the same merge / replay tail as
   /// the vertex-centric path. There is no chunk stealing: the partition is
   /// the indivisible unit of subgraph work.
-  void execute_superstep_subgraph() {
+  void execute_superstep_subgraph()
+    requires(subgraph_model())
+  {
     setup_subgraph_chunks();
     for_each_index(parts_.size(), [this](std::size_t p) {
       compute_subgraph_partition(static_cast<std::uint32_t>(p));
@@ -1197,8 +1199,11 @@ class Engine final : public EngineCore {
         [](const StagedRootDone& r) { return r.rank; },
         [this](std::uint32_t, const StagedRootDone& r) { mark_root_done(r.root); });
     for (std::size_t c = 0; c < chunks_.size(); ++c) {
-      chunk_scratch_[c].aggs.clear();
-      chunk_scratch_[c].roots.clear();
+      ChunkScratch& cs = chunk_scratch_[c];
+      cs.aggs.clear();
+      cs.roots.clear();
+      for (const auto& [at, v] : cs.wakes) book_.wakes[at].push_back(v);
+      cs.wakes.clear();
     }
   }
 
@@ -1376,19 +1381,21 @@ class Engine final : public EngineCore {
     chunk_scratch_[chunk].activations.push_back(local);
   }
 
-  void schedule_wake(std::size_t chunk, std::uint32_t local, std::uint64_t at) {
+  /// Staged per chunk; a wake equal to the chunk's previous one is dropped
+  /// (BC wakes a vertex once per root it discovers, and activation is a
+  /// set).
+  void schedule_wake(std::size_t chunk, VertexId v, std::uint64_t at) {
     PREGEL_CHECK_MSG(at > superstep_, "wake_at: superstep must be in the future");
-    chunk_scratch_[chunk].wakes.emplace_back(at, local);
+    auto& wakes = chunk_scratch_[chunk].wakes;
+    if (wakes.empty() || wakes.back() != std::pair{at, v}) wakes.emplace_back(at, v);
   }
 
-  /// The partition total is staged per chunk; per-vertex slots are disjoint
-  /// across chunks (a vertex computes in exactly one slice), so they are
-  /// written directly.
-  void charge_state(std::uint32_t partition, std::uint32_t local, std::int64_t delta,
-                    std::size_t chunk) {
+  /// The partition total is staged per chunk; per-vertex entries are
+  /// disjoint across chunks (a vertex computes in exactly one slice), so
+  /// they are written directly.
+  void charge_state(VertexId v, std::int64_t delta, std::size_t chunk) {
     chunk_scratch_[chunk].state_delta += delta;
-    PartitionMeta& ps = parts_[partition];
-    if (!ps.state_bytes_v.empty()) ps.state_bytes_v[local] += delta;
+    book_.state_bytes[v] += delta;
   }
 
   /// Vertex-context aggregate contribution: logged in the chunk's scratch

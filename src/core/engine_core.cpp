@@ -233,18 +233,12 @@ void EngineCore::reset_run_state(const JobOptions& opts) {
     ps.active_cur.clear();
     ps.active_next.clear();
     ps.in_active_next.clear();
-    ps.wakes.clear();
     ps.state_bytes = 0;
-    if (migration_possible_)
-      ps.state_bytes_v.assign(ps.vertices.size(), 0);
-    else
-      ps.state_bytes_v.clear();
     ps.load = {};
-    if (track_dirty_)
-      ps.dirty.assign(ps.vertices.size(), 0);
-    else
-      ps.dirty.clear();
   }
+  book_.state_bytes.assign(graph_->num_vertices(), 0);
+  book_.dirty.assign(track_dirty_ ? graph_->num_vertices() : 0, 0);
+  book_.wakes.clear();
   reset_placement_to_modulo();
   pending_placement_cost_ = 0.0;
   virtual_now_us_ = 0.0;
@@ -299,22 +293,20 @@ bool EngineCore::simulate_setup() {
   return true;
 }
 
-/// The manager's half of readying a superstep: swap the frontier in, merge
-/// due wakes, order the actives for compute, and reset the per-superstep
-/// counters. The template seals the inboxes when it runs the superstep.
+/// The manager's half of readying a superstep: activate the due wakes where
+/// their vertices live now, swap the frontier in, order the actives for
+/// compute, and reset the per-superstep counters. The template seals the
+/// inboxes when it runs the superstep.
 void EngineCore::prepare_superstep() {
+  if (auto it = book_.wakes.find(superstep_); it != book_.wakes.end()) {
+    for (const VertexId v : it->second) activate_local(part_of_[v], local_of_[v]);
+    book_.wakes.erase(it);
+  }
   for (auto& ps : parts_) {
     ps.inbox_cur_bytes = ps.inbox_next_bytes;
     ps.inbox_next_bytes = 0;
     ps.active_cur = std::move(ps.active_next);
     ps.active_next.clear();
-    // The dedupe flags are still set for active_cur's members; reuse them
-    // to merge this superstep's wakes in O(wakes). Ordering clears them.
-    if (auto it = ps.wakes.find(superstep_); it != ps.wakes.end()) {
-      for (std::uint32_t l : it->second)
-        if (ps.in_active_next.insert(l)) ps.active_cur.push_back(l);
-      ps.wakes.erase(it);
-    }
     if (migrated_) {
       // After a migration, local index order no longer equals serial-visit
       // order; compute must walk actives in immutable-rank order so staged
@@ -335,13 +327,6 @@ void EngineCore::prepare_superstep() {
       PREGEL_DCHECK(ps.active_cur.size() == count);
     }
     ps.load = {};
-    // Delta-checkpoint dirty tracking: a migration rebuilt the partition
-    // under us -> everything is dirty until the forced re-base publishes.
-    // Ordinary dirtying happens after each compute() in the template: the
-    // vertex rides the next delta leg unless its program declared the call
-    // a write-free no-op via ctx.state_unchanged().
-    if (track_dirty_ && ps.dirty.size() != ps.vertices.size())
-      ps.dirty.assign(ps.vertices.size(), 1);
   }
 }
 
@@ -349,8 +334,9 @@ bool EngineCore::any_activity() const {
   // Pending future wakes keep the job alive even through idle supersteps
   // (e.g. the gap between a BC vertex's discovery and its successor
   // census).
+  if (!book_.wakes.empty()) return true;
   for (const auto& ps : parts_)
-    if (!ps.active_cur.empty() || !ps.wakes.empty()) return true;
+    if (!ps.active_cur.empty()) return true;
   return false;
 }
 
@@ -359,8 +345,9 @@ bool EngineCore::any_activity() const {
 /// state where any_activity() inspects the current one. Future wakes count:
 /// the engine idles through the gap on its own.
 bool EngineCore::any_pending_activity() const {
+  if (!book_.wakes.empty()) return true;
   for (const PartitionMeta& ps : parts_)
-    if (!ps.active_next.empty() || !ps.wakes.empty()) return true;
+    if (!ps.active_next.empty()) return true;
   return false;
 }
 
@@ -1049,6 +1036,7 @@ std::shared_ptr<EngineCore::Snapshot> EngineCore::make_snapshot(std::uint64_t re
   compact_outstanding_roots();  // snapshot a tombstone-free root list
   auto s = std::make_shared<Snapshot>();
   s->parts = parts_;
+  s->book = book_;
   s->data = snapshot_partition_data();
   s->superstep = resume_superstep;
   s->globals = globals_;
@@ -1077,19 +1065,12 @@ Bytes EngineCore::full_leg_bytes(std::uint32_t p) const {
 /// writing bigger than its base).
 Bytes EngineCore::delta_leg_bytes(std::uint32_t p) const {
   const PartitionMeta& ps = parts_[p];
-  if (ps.dirty.size() != ps.vertices.size()) return full_leg_bytes(p);
   std::uint64_t dirty_count = 0;
-  for (const std::uint8_t f : ps.dirty) dirty_count += f;
   Bytes dirty_state = 0;
-  if (!ps.state_bytes_v.empty()) {
-    for (std::uint32_t l = 0; l < ps.dirty.size(); ++l)
-      if (ps.dirty[l])
-        dirty_state += static_cast<Bytes>(std::max<std::int64_t>(ps.state_bytes_v[l], 0));
-  } else if (!ps.vertices.empty()) {
-    // No per-vertex breakdown this run: prorate the partition total by the
-    // dirty share (pure integer function of modeled state — deterministic).
-    dirty_state = static_cast<Bytes>(std::max<std::int64_t>(ps.state_bytes, 0)) * dirty_count /
-                  ps.vertices.size();
+  for (const VertexId v : ps.vertices) {
+    if (!book_.dirty[v]) continue;
+    ++dirty_count;
+    dirty_state += static_cast<Bytes>(std::max<std::int64_t>(book_.state_bytes[v], 0));
   }
   const Bytes d = dirty_state + dirty_count * traits_.value_bytes + ps.inbox_next_bytes;
   return std::min(d, full_leg_bytes(p));
@@ -1162,7 +1143,7 @@ void EngineCore::maybe_checkpoint() {
       // Successful publish: the next delta is relative to *this* generation.
       // Cleared before the snapshot, so restored snapshots carry the cleared
       // flags — a replay re-dirties and re-publishes identical generations.
-      for (auto& ps : parts_) std::fill(ps.dirty.begin(), ps.dirty.end(), 0);
+      std::fill(book_.dirty.begin(), book_.dirty.end(), 0);
       ckpt_.attach_payload(make_snapshot(superstep_ + 1));
       ++m.checkpoints_written;
       if (out.is_base) {
@@ -1283,6 +1264,7 @@ Bytes EngineCore::redelivery_bytes(std::uint32_t vm) const {
 
 void EngineCore::restore_snapshot_state(const Snapshot& s) {
   parts_ = s.parts;
+  book_ = s.book;
   restore_partition_data(s.data.get());
   globals_ = s.globals;
   globals_next_ = Globals{};
@@ -1636,14 +1618,12 @@ bool EngineCore::apply_migration_plan(const MigrationPlan& plan, const char* why
                      "migration plan is stale: vertex no longer in 'from'");
     PREGEL_CHECK_MSG(mv.to < parts_.size() && mv.to != mv.from,
                      "migration plan targets an invalid partition");
-    const PartitionMeta& ps = parts_[mv.from];
-    const std::uint32_t l = local_of_[mv.vertex];
     // What physically moves: the vertex object + adjacency (the managed-
     // runtime footprint build_partitions models), its value, its exact
     // modeled algorithm state, and any buffered inbox messages (below).
-    Bytes b = 64 + static_cast<Bytes>(graph_->out_degree(mv.vertex)) * 8 + traits_.value_bytes;
-    if (!ps.state_bytes_v.empty())
-      b += static_cast<Bytes>(std::max<std::int64_t>(ps.state_bytes_v[l], 0));
+    const Bytes b = 64 + static_cast<Bytes>(graph_->out_degree(mv.vertex)) * 8 +
+                    traits_.value_bytes +
+                    static_cast<Bytes>(std::max<std::int64_t>(book_.state_bytes[mv.vertex], 0));
     moves.push_back({mv.vertex, mv.from, mv.to, b});
   }
   // Buffered messages: one pass over each donor partition's arrival log.
@@ -1701,10 +1681,12 @@ bool EngineCore::apply_migration_plan(const MigrationPlan& plan, const char* why
 }
 
 /// Rebuild the metadata of every partition a move touches around its new
-/// membership. Each vertex carries its modeled state bytes, pending
-/// activation, and scheduled wakes; partition vertex lists stay ascending
-/// by global id and part_of_/local_of_ are updated. The template then
-/// moves values and buffered messages (move_partition_data).
+/// membership. Each vertex carries its pending activation, and each
+/// partition's state-bytes total is summed from the book over its new
+/// members; partition vertex lists stay ascending by global id and
+/// part_of_/local_of_ are updated. The book itself is indexed by vertex, so
+/// nothing in it moves. The template then moves values and buffered
+/// messages (move_partition_data).
 void EngineCore::rebuild_partitions_for_moves(const std::vector<VertexMoveCost>& moves) {
   std::unordered_map<VertexId, PartitionId> dest;
   std::vector<PartitionId> affected;
@@ -1735,7 +1717,6 @@ void EngineCore::rebuild_partitions_for_moves(const std::vector<VertexMoveCost>&
     const std::size_t pn = nv.size();
     ns.vertices = std::move(nv);
     ns.in_active_next.assign(pn);
-    ns.state_bytes_v.assign(pn, 0);
     ns.graph_bytes = partition_graph_bytes(ns.vertices);
     parts_[p] = std::move(ns);
   }
@@ -1751,25 +1732,10 @@ void EngineCore::rebuild_partitions_for_moves(const std::vector<VertexMoveCost>&
       const PartitionMeta& os = old.at(part_of_[v]);
       const std::uint32_t ol = local_of_[v];
       source[i][nl] = {part_of_[v], ol};
-      if (!os.state_bytes_v.empty()) ns.state_bytes_v[nl] = os.state_bytes_v[ol];
-      ns.state_bytes += ns.state_bytes_v[nl];
+      ns.state_bytes += book_.state_bytes[v];
       if (os.in_active_next.test(ol)) {
         ns.in_active_next.insert(nl);
         ns.active_next.push_back(nl);
-      }
-    }
-  }
-
-  // Re-home scheduled wakes (locals are remapped; list order within a wake
-  // step is irrelevant — prepare_superstep orders the merged actives).
-  for (const PartitionId p : affected) {
-    for (const auto& [at, locals] : old.at(p).wakes) {
-      for (const std::uint32_t ol : locals) {
-        const VertexId v = old.at(p).vertices[ol];
-        const PartitionId np = dest.contains(v) ? dest.at(v) : p;
-        PartitionMeta& ns = parts_[np];
-        const auto it = std::lower_bound(ns.vertices.begin(), ns.vertices.end(), v);
-        ns.wakes[at].push_back(static_cast<std::uint32_t>(it - ns.vertices.begin()));
       }
     }
   }

@@ -2,11 +2,12 @@
 // paper's job manager (§III) and the modeled cluster it drives.
 //
 // Everything here reads partitions at the level the manager sees them:
-// vertex lists, load and byte counters, active lists, wakes, placement,
-// location tables. Nothing here can name a vertex value or a message type,
-// so it is compiled once (engine_core.cpp) instead of once per program per
-// translation unit. Engine<Program> (engine.hpp) derives from it and keeps
-// the vertex half: values, inboxes, compute, routing and the merges.
+// vertex lists, load and byte counters, active lists, placement, location
+// tables, and per vertex its state bytes, dirty flag and wakes. Nothing
+// here can name a vertex value or a message type, so it is compiled once
+// (engine_core.cpp) instead of once per program per translation unit.
+// Engine<Program> (engine.hpp) derives from it and keeps the vertex half:
+// values, inboxes, compute, routing and the merges.
 //
 // The core owns the run loop (start / advance) and, per superstep, the
 // control plane, modeled timing ("the slowest worker" plus barrier
@@ -29,6 +30,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -81,7 +83,8 @@ class LocalFlags {
 };
 
 /// One partition as the manager sees it: everything but vertex values and
-/// inbox messages, which live in the template's per-partition data.
+/// inbox messages, which live in the template's per-partition data, and the
+/// per-vertex records of the VertexBook.
 struct PartitionMeta {
   std::vector<VertexId> vertices;  ///< global ids, ascending
   /// Modeled bytes of the sealed inbox arena (cur) and of the arrival log
@@ -89,22 +92,9 @@ struct PartitionMeta {
   Bytes inbox_cur_bytes = 0, inbox_next_bytes = 0;
   std::vector<std::uint32_t> active_cur, active_next;
   LocalFlags in_active_next;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> wakes;
+  /// Modeled algorithm state of the partition's vertices: the sum of their
+  /// VertexBook::state_bytes entries.
   std::int64_t state_bytes = 0;
-  /// Per-vertex breakdown of state_bytes, maintained only when migration
-  /// is possible this run — a moving vertex must carry its exact modeled
-  /// state so both partitions' totals stay right.
-  std::vector<std::int64_t> state_bytes_v;
-  /// Delta-checkpoint dirty tracking, maintained only when the run writes
-  /// delta generations: which locals mutated their value/state since the
-  /// last *published* checkpoint (computed, minus computes the program
-  /// declared write-free via ctx.state_unchanged()). Cleared on
-  /// successful publish only, so a torn-manifest round leaves the next
-  /// delta relative to the last generation a restore could actually
-  /// read. Travels inside snapshots: a rollback replays with exactly the
-  /// dirty sets the original execution had, so re-published generations
-  /// are bit-identical.
-  std::vector<std::uint8_t> dirty;
   Bytes graph_bytes = 0;
   /// Raw counters, reset each superstep. load.bytes_sent_remote is also the
   /// partition's serialized outgoing buffer.
@@ -159,6 +149,26 @@ class EngineCore {
   struct ProgramTraits {
     Bytes value_bytes = 0;          ///< sizeof(VertexValue): checkpoint/migration sizing
     bool has_seed_message = false;  ///< roots are allowed
+  };
+
+  /// The manager's per-vertex records, indexed by global vertex id: a
+  /// migration changes where a vertex lives, never its entry here, so none
+  /// of them is re-homed. A snapshot carries the book whole.
+  struct VertexBook {
+    /// Modeled algorithm-state bytes (§IV's memory meter, the delta legs and
+    /// a mover's transfer size).
+    std::vector<std::int64_t> state_bytes;
+    /// Delta-checkpoint dirty flags, kept only when the run writes delta
+    /// generations: which vertices mutated their value or state since the
+    /// last *published* checkpoint (computed, minus computes the program
+    /// declared write-free via ctx.state_unchanged()). Cleared on successful
+    /// publish only, so a torn-manifest round leaves the next delta relative
+    /// to the last generation a restore could actually read. A rollback
+    /// replays with exactly the dirty sets the original execution had, so
+    /// re-published generations are bit-identical.
+    std::vector<std::uint8_t> dirty;
+    /// Scheduled wakes: superstep -> the vertices due then.
+    std::map<std::uint64_t, std::vector<VertexId>> wakes;
   };
 
   /// One vertex a migration moves, with the bytes it carries.
@@ -231,6 +241,7 @@ class EngineCore {
   std::uint64_t last_active_vertices_ = 0;
 
   std::vector<PartitionMeta> parts_;
+  VertexBook book_;
   std::vector<PartitionId> part_of_;
   std::vector<std::uint32_t> local_of_;
   /// Home partition per vertex (build-time assignment) — immutable per run
@@ -284,6 +295,7 @@ class EngineCore {
   /// worker failures) and metrics (an execution log, not job state).
   struct Snapshot {
     std::vector<PartitionMeta> parts;
+    VertexBook book;
     std::shared_ptr<const void> data;  ///< snapshot_partition_data()
     std::uint64_t superstep;
     Globals globals;
@@ -438,7 +450,7 @@ class EngineCore {
   /// migrations are undone from this before the next run starts.
   std::vector<PartitionId> initial_assignment_;
   /// This run could migrate (planner installed or governor scale-out armed):
-  /// keep per-vertex state bytes.
+  /// snapshots carry the location tables, and the governor may scale out.
   bool migration_possible_ = false;
   /// parts_ no longer match initial_assignment_; rebuild on next run.
   bool parts_dirty_ = false;

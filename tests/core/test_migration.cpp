@@ -442,5 +442,78 @@ TEST(Migration, PlanNamingAVertexTwiceIsRejected) {
   EXPECT_THROW(e.run(o), std::logic_error);
 }
 
+// NoMigrationPlanner is a placebo: installing it moves nothing, so a BC run
+// with delta checkpoints must price every leg, and so every modeled
+// quantity, exactly as the run without a planner does. BC charges state
+// bytes, which the delta legs carry per dirty vertex.
+TEST(Migration, NoMigrationPlannerIsAPlacebo) {
+  const Graph g = barabasi_albert(3000, 3, 71);
+  ClusterConfig plain;
+  plain.num_partitions = 4;
+  plain.initial_workers = 4;
+  plain.checkpoint_interval = 2;
+  ASSERT_TRUE(plain.ckpt.delta_enabled);
+  const auto parts = HashPartitioner{}.partition(g, plain.num_partitions);
+
+  JobOptions o;
+  for (VertexId r = 0; r < 12; ++r) o.roots.push_back(r * 250);
+  const auto base = Engine<BcProgram>(g, {}, plain, parts).run(o);
+  ASSERT_FALSE(base.failed);
+  ASSERT_GT(base.metrics.checkpoint_deltas, 0u);
+
+  const ClusterConfig placebo =
+      with_forced_migration(plain, std::make_shared<NoMigrationPlanner>(), /*period=*/1);
+  const auto r = Engine<BcProgram>(g, {}, placebo, parts).run(o);
+  ASSERT_FALSE(r.failed);
+  EXPECT_EQ(r.metrics.migrations, 0u);
+  EXPECT_EQ(first_modeled_difference(r.metrics, base.metrics), "");
+  for (std::size_t v = 0; v < r.values.size(); ++v)
+    EXPECT_EQ(r.values[v].bc_score, base.values[v].bc_score) << "vertex " << v;
+}
+
+// The per-vertex book (state bytes, dirty flags, wakes) across a rewind
+// after migrations: swathed BC schedules wakes and charges state bytes in
+// most supersteps, a planner moves vertices at every barrier, checkpoints
+// are deltas where no move intervened, and one worker dies mid-run. The
+// restore rewinds the location tables and the book together; values must
+// match the sequential Brandes oracle, and the modeled record must not
+// depend on the lane count.
+TEST(Migration, BookRewindsWithLocationTablesAfterMigration) {
+  const Graph g = barabasi_albert(600, 3, 71);
+  ClusterConfig c = with_forced_migration(
+      eight_partitions_four_vms(),
+      std::make_shared<ActivityGreedyPlanner>(/*tolerance=*/0.2), /*period=*/1);
+  c.checkpoint_interval = 2;
+  c.scheduled_failures = {{9, 1}};  // superstep 9, worker 1
+  const auto parts = HashPartitioner{}.partition(g, c.num_partitions);
+
+  std::vector<VertexId> roots;
+  for (VertexId r = 0; r < 12; ++r) roots.push_back(r * 47 % 600);
+  const std::vector<double> ref = reference_betweenness(g, roots);
+
+  JobOptions o;
+  o.roots = roots;
+  o.swath = SwathPolicy::make(std::make_shared<StaticSwathSizer>(4),
+                              std::make_shared<StaticNInitiation>(2), 0);
+  JobMetrics serial;
+  for (const std::uint32_t lanes : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(lanes) + " lanes");
+    o.parallelism = lanes;
+    const auto r = Engine<BcProgram>(g, {}, c, parts).run(o);
+    ASSERT_FALSE(r.failed) << r.failure_reason;
+    ASSERT_EQ(r.roots_completed, roots.size());
+    EXPECT_GT(r.metrics.migrations, 0u);
+    EXPECT_EQ(r.metrics.worker_failures, 1u);
+    EXPECT_GT(r.metrics.replayed_supersteps, 0u);
+    EXPECT_GT(r.metrics.checkpoint_deltas, 0u);
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      ASSERT_NEAR(r.values[v].bc_score, ref[v], 1e-6) << "vertex " << v;
+    if (lanes == 1)
+      serial = r.metrics;
+    else
+      EXPECT_EQ(first_modeled_difference(r.metrics, serial), "");
+  }
+}
+
 }  // namespace
 }  // namespace pregel

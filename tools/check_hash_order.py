@@ -56,9 +56,6 @@ ALLOW = [
      "a queue's in-flight messages: lookups and erases by id only"),
     ("cloud/queue.hpp", "queues_",
      "the queue maps: lookups by name, and total_ops sums integers"),
-    ("core/engine_core.hpp", "wakes",
-     "scheduled wakes by superstep: lookups by superstep; prepare_superstep "
-     "erases the order in which migration re-homes them"),
     ("core/engine_core.hpp", "outstanding_index_",
      "the swath's outstanding-root index: lookups and erases only"),
     ("core/engine_core.hpp", "old",
